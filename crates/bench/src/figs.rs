@@ -261,7 +261,7 @@ fn spmspv_dist_figure(
     scale: usize,
     opts: SpMSpVOpts,
 ) -> Vec<Figure> {
-    use gblas_dist::ops::spmspv::{spmspv_dist_with, CommStrategy};
+    use gblas_dist::ops::spmspv::{spmspv_dist_batch, CommStrategy, FirstVisitor};
     let n = workloads::scaled(n_base, scale, 20_000);
     let mut out = Vec::new();
     for &(d, f) in SPMSPV_CONFIGS {
@@ -282,8 +282,10 @@ fn spmspv_dist_figure(
             let da = DistCsrMatrix::from_global(&a, grid);
             let dx = DistSparseVec::from_global(&x, p);
             let dctx = dist_ctx(MachineConfig::edison_cluster(p, 24));
-            let (_, report) = spmspv_dist_with(&da, &dx, None, CommStrategy::Fine, opts, &dctx)
-                .expect("spmspv dist");
+            let xs = std::slice::from_ref(&dx);
+            let (_, report) =
+                spmspv_dist_batch(&da, xs, None, &FirstVisitor, CommStrategy::Fine, opts, &dctx)
+                    .expect("spmspv dist");
             points.push(FigPoint { x: p, report });
         }
         fig.push_series("components", points);

@@ -1,7 +1,7 @@
 //! Query-serving throughput harness: batched multi-source analytics
 //! versus a one-query-at-a-time loop.
 //!
-//! The batched kernels (`gblas_graph::multi`, `gblas_dist::ops::expand`)
+//! The batched kernels (`gblas_graph::multi`, `gblas_dist::ops::spmspv`)
 //! exist to serve *query streams*: BFS/SSSP/PPR requests arriving over
 //! time, where answering k of them per masked-SpGEMM sweep amortizes the
 //! per-superstep message latency k-fold. This module measures that claim
@@ -350,7 +350,7 @@ pub fn verify_batched_equivalence(
 /// baseline. The request stream saturates the server (arrivals far
 /// faster than service), so every batch fills to its `k` and the figure
 /// isolates the batching win: one fused message per locale pair per
-/// level instead of k request/reply exchanges.
+/// level instead of k.
 pub fn fig_serving(scale: usize) -> Vec<Figure> {
     let target = workloads::scaled(1 << 14, scale, 256);
     let exp = usize::BITS - 1 - target.leading_zeros();

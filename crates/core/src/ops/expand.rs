@@ -15,7 +15,7 @@
 //! algorithm per level instead of k). The latency amortization that
 //! makes batching a throughput win lives in the distributed backend,
 //! where the k per-source gathers and scatters of a level fuse into one
-//! bulk message per locale pair (`gblas_dist::ops::expand`).
+//! bulk message per locale pair (`gblas_dist::ops::spmspv`).
 
 use crate::algebra::{BinaryOp, Monoid, Semiring};
 use crate::container::{CsrMatrix, DenseVec, SparseFrontier};

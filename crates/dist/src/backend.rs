@@ -12,7 +12,7 @@
 use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
 use crate::ops::expand::DistFrontier;
-use crate::ops::spmspv::{CommStrategy, DistMask};
+use crate::ops::spmspv::{spmspv_dist_batch, Accumulate, CommStrategy, DistMask, FirstVisitor};
 use crate::vec::{DistDenseVec, DistSparseVec};
 use gblas_core::algebra::{BinaryOp, ComMonoid, Monoid, Scalar, Semiring};
 use gblas_core::backend::{GblasBackend, MaskSpec};
@@ -29,8 +29,9 @@ pub const PHASE_ALLREDUCE: &str = "allreduce";
 /// The simulated distributed-memory backend.
 ///
 /// Wraps a [`DistCtx`] plus the communication strategy every SpMSpV-style
-/// kernel should use, and accumulates the per-op [`SimReport`]s so a
-/// whole algorithm run prices as one ledger.
+/// call — single-source and batched alike — runs under, and accumulates
+/// the per-op [`SimReport`]s so a whole algorithm run prices as one
+/// ledger.
 pub struct DistBackend<'a> {
     /// The distributed execution context (machine, comm log, tracing).
     pub dctx: &'a DistCtx,
@@ -71,6 +72,48 @@ impl<'a> DistBackend<'a> {
 
     fn absorb(&self, r: SimReport) {
         self.report.lock().merge(&r);
+    }
+
+    /// Every SpMSpV-style call — one source or a batch — runs the one
+    /// distributed engine under this backend's strategy.
+    fn spmspv_batch<T, V, C, K>(
+        &self,
+        a: &DistCsrMatrix<T>,
+        xs: &[DistSparseVec<V>],
+        masks: Option<&[DistMask<'_>]>,
+        accum: &K,
+        opts: SpMSpVOpts,
+    ) -> Result<Vec<DistSparseVec<C>>>
+    where
+        T: Scalar,
+        V: Scalar,
+        C: Scalar,
+        K: Accumulate<T, V, C>,
+    {
+        let (ys, r) = spmspv_dist_batch(a, xs, masks, accum, self.strategy, opts, self.dctx)?;
+        self.absorb(r);
+        Ok(ys)
+    }
+
+    /// [`Self::spmspv_batch`] for one source (the `k = 1` batch).
+    fn spmspv_one<T, V, C, K>(
+        &self,
+        a: &DistCsrMatrix<T>,
+        x: &DistSparseVec<V>,
+        mask: Option<MaskSpec<'_, DistDenseVec<bool>>>,
+        accum: &K,
+        opts: SpMSpVOpts,
+    ) -> Result<DistSparseVec<C>>
+    where
+        T: Scalar,
+        V: Scalar,
+        C: Scalar,
+        K: Accumulate<T, V, C>,
+    {
+        let dm = mask.as_ref().map(dist_mask);
+        let masks = dm.as_ref().map(std::slice::from_ref);
+        let mut ys = self.spmspv_batch(a, std::slice::from_ref(x), masks, accum, opts)?;
+        Ok(ys.pop().expect("one frontier in, one vector out"))
     }
 }
 
@@ -202,11 +245,7 @@ impl GblasBackend for DistBackend<'_> {
         mask: Option<MaskSpec<'_, DistDenseVec<bool>>>,
         opts: SpMSpVOpts,
     ) -> Result<DistSparseVec<usize>> {
-        let dm = mask.as_ref().map(dist_mask);
-        let (out, r) =
-            crate::ops::spmspv::spmspv_dist_with(a, x, dm, self.strategy, opts, self.dctx)?;
-        self.absorb(r);
-        Ok(out)
+        self.spmspv_one(a, x, mask, &FirstVisitor, opts)
     }
 
     fn spmspv_semiring<A, B, C, AddM, MulOp>(
@@ -224,18 +263,7 @@ impl GblasBackend for DistBackend<'_> {
         AddM: Monoid<C>,
         MulOp: BinaryOp<A, B, C>,
     {
-        let dm = mask.as_ref().map(dist_mask);
-        let (out, r) = crate::ops::spmspv::spmspv_dist_semiring_with(
-            a,
-            x,
-            ring,
-            dm,
-            self.strategy,
-            opts,
-            self.dctx,
-        )?;
-        self.absorb(r);
-        Ok(out)
+        self.spmspv_one(a, x, mask, ring, opts)
     }
 
     fn spmv<A, B, C, AddM, MulOp>(
@@ -279,10 +307,9 @@ impl GblasBackend for DistBackend<'_> {
         visited: &[DistDenseVec<bool>],
         opts: SpMSpVOpts,
     ) -> Result<DistFrontier<usize>> {
-        let (out, r) =
-            crate::ops::expand::expand_dist_first_visitor(a, f, visited, opts, self.dctx)?;
-        self.absorb(r);
-        Ok(out)
+        let masks: Vec<DistMask<'_>> = visited.iter().map(DistMask::complement).collect();
+        let rows = self.spmspv_batch(a, f.rows(), Some(&masks), &FirstVisitor, opts)?;
+        DistFrontier::new(a.ncols(), self.dctx.locales(), rows)
     }
 
     fn expand_semiring<A, B, C, AddM, MulOp>(
@@ -299,9 +326,8 @@ impl GblasBackend for DistBackend<'_> {
         AddM: Monoid<C>,
         MulOp: BinaryOp<A, B, C>,
     {
-        let (out, r) = crate::ops::expand::expand_dist_semiring(a, f, ring, opts, self.dctx)?;
-        self.absorb(r);
-        Ok(out)
+        let rows = self.spmspv_batch(a, f.rows(), None, ring, opts)?;
+        DistFrontier::new(a.ncols(), self.dctx.locales(), rows)
     }
 
     fn spmm_dense<A, B, C, AddM, MulOp>(

@@ -24,7 +24,9 @@
 //! * [`ops`] — the paper's four operations, each in the two versions the
 //!   paper contrasts (fine-grained "version 1" vs SPMD "version 2"), plus
 //!   the distributed SpMSpV of Listing 8 (gather along the processor row,
-//!   local multiply, scatter across processor columns).
+//!   local multiply, scatter across processor columns) — one engine,
+//!   [`ops::spmspv::spmspv_dist_batch`], for a single source (the
+//!   `k = 1` batch) and for `k` sources per sweep.
 //!
 //! Everything *functional* is real — results are asserted equal to the
 //! shared-memory reference in the test suite at every grid shape — while

@@ -1,42 +1,28 @@
-//! Distributed batched (multi-source) frontier expansion: one masked
-//! SpGEMM sweep per traversal level instead of k SpMSpVs.
+//! Distributed batched (multi-source) containers and the dense batched
+//! SpMM.
 //!
 //! The CombBLAS 2.0 observation: a level of k concurrent traversals
 //! gathers, multiplies and scatters k sparse vectors over the *same*
 //! 2-D matrix distribution, so the per-superstep communication fuses —
 //! every locale pair exchanges **one** bulk message carrying all k
 //! sources' payloads, paying the per-message latency α once instead of
-//! k (or 2k, for the request/reply gather) times. At serving batch
-//! sizes the α term dominates small frontiers' traffic, which is where
-//! the simulated-QPS win of `gblas serve-bench` comes from.
+//! k times.
 //!
-//! Structure mirrors [`crate::ops::spmspv`] superstep for superstep:
-//!
-//! 1. **`gather`** — each locale pulls its row-block slices of all k
-//!    frontiers from its processor-row peers, one combined bulk message
-//!    per remote peer (the pattern is static — every row peer always
-//!    needs the whole slice — so no request round is needed).
-//! 2. **`local`** — each locale runs the *shared-memory single-source
-//!    kernel once per source* on its block. This is what makes the
-//!    batched result bit-identical per source to k single-source runs:
-//!    the per-source local multiply is literally the same code on the
-//!    same operands in the same order.
-//! 3. **`scatter`** — claims `(source, offset, value)` from all k
-//!    sources travel in one bulk message per locale pair; owners drain
-//!    inboxes in ascending sender order per source, so first-writer-wins
-//!    (and the accumulation order) resolves exactly as the serial
-//!    schedule — and exactly as the single-source distributed kernel.
-//!    Per-source visited masks are enforced owner-side, like
-//!    [`crate::ops::spmspv::DistMask`].
+//! [`DistFrontier`] is the distributed `n×k` frontier. Its sparse
+//! expansion is not a separate kernel: [`DistFrontier::rows`] is the
+//! frontier slice [`crate::ops::spmspv::spmspv_dist_batch`] takes, the
+//! same engine a single source runs as its `k = 1` batch.
+//! [`spmm_dense_dist`] is the dense counterpart: k dense columns through
+//! the [`crate::ops::spmv::spmv_dist`] superstep structure with fused
+//! messages.
 
-use crate::exec::{DistCtx, PooledOutboxes};
+use crate::exec::DistCtx;
 use crate::mat::DistCsrMatrix;
-use crate::ops::spmspv::{PHASE_GATHER, PHASE_LOCAL, PHASE_SCATTER};
+use crate::ops::spmspv::{PHASE_GATHER, PHASE_LOCAL};
 use crate::vec::{DistDenseVec, DistSparseVec};
 use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
 use gblas_core::container::SparseVec;
 use gblas_core::error::{check_dims, GblasError, Result};
-use gblas_core::ops::spmspv::{spmspv_first_visitor, spmspv_semiring_masked, SpMSpVOpts};
 use gblas_core::par::Profile;
 use gblas_sim::SimReport;
 
@@ -132,400 +118,6 @@ impl<T: Copy + Send + Sync + 'static> DistFrontier<T> {
             })
             .collect()
     }
-}
-
-/// Validate the operands every batched kernel shares.
-fn check_batch<T: Copy + Send + Sync + 'static, B: Copy + Send + Sync>(
-    a: &DistCsrMatrix<B>,
-    f: &DistFrontier<T>,
-    dctx: &DistCtx,
-) -> Result<()> {
-    check_dims("frontier capacity vs matrix rows", a.nrows(), f.capacity())?;
-    let p = a.grid().locales();
-    if f.locales() != p || dctx.locales() != p {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("{p} locales"),
-            actual: format!("{} / {} locales", f.locales(), dctx.locales()),
-        });
-    }
-    Ok(())
-}
-
-/// Fused gather: each locale assembles all k sources' row-block slices
-/// (local row coordinates) from its processor-row peers, paying **one**
-/// bulk message per remote peer for the whole batch.
-#[allow(clippy::type_complexity)] // (per-locale profiles, per-locale k gathered slices)
-fn gather_batch<V: Copy + Send + Sync + 'static>(
-    plan: &crate::sched::GatherPlan,
-    f: &DistFrontier<V>,
-    elem_bytes: u64,
-    dctx: &DistCtx,
-) -> Result<(Vec<Profile>, Vec<Vec<SparseVec<V>>>)> {
-    let k = f.k();
-    Ok(dctx
-        .for_each_locale(|l| {
-            let (rs, re) = plan.row_ranges[l];
-            let gctx = dctx.locale_ctx_for(l);
-            let mut inds: Vec<Vec<usize>> = (0..k).map(|_| Vec::new()).collect();
-            let mut vals: Vec<Vec<V>> = (0..k).map(|_| Vec::new()).collect();
-            for &src in &plan.row_peers[l] {
-                let payload: u64 =
-                    (0..k).map(|s| f.row(s).shard(src).nnz() as u64).sum::<u64>() * elem_bytes;
-                if src != l && payload > 0 {
-                    dctx.comm.bulk(PHASE_GATHER, l, src, 1, payload)?;
-                }
-                for s in 0..k {
-                    let shard = f.row(s).shard(src);
-                    inds[s].extend(shard.indices().iter().map(|&i| i - rs));
-                    vals[s].extend_from_slice(shard.values());
-                }
-            }
-            let total: u64 = inds.iter().map(|i| i.len() as u64).sum();
-            gctx.record(PHASE_GATHER, |c| {
-                c.elems += total;
-                c.bytes_moved += total * elem_bytes;
-            });
-            let lxs = inds
-                .into_iter()
-                .zip(vals)
-                .map(|(i, v)| {
-                    SparseVec::from_sorted((re - rs).max(1), i, v)
-                        .expect("row-ordered shards concatenate sorted")
-                })
-                .collect::<Vec<_>>();
-            Ok((gctx.take_profile(), lxs))
-        })?
-        .into_iter()
-        .unzip())
-}
-
-/// Resolve the batched-expand gather schedule for `a` on `dctx`. The
-/// pattern is the row-aligned [`crate::sched::GatherPlan`] keyed per
-/// batch width `k` (class `Batched(k)`), so the `_multi` drivers replay
-/// one plan per width across iterations.
-fn expand_schedule<B: Copy>(
-    a: &DistCsrMatrix<B>,
-    k: usize,
-    dctx: &DistCtx,
-) -> (std::sync::Arc<crate::sched::PlanData>, crate::sched::SchedOutcome) {
-    let grid = a.grid();
-    dctx.schedule(
-        "expand_gather",
-        crate::sched::FrontierClass::Batched(k),
-        (grid.pr(), grid.pc()),
-        a.generation(),
-        0,
-        || {
-            crate::sched::PlanData::Gather(crate::sched::GatherPlan::build(grid, |l| {
-                a.row_range(l)
-            }))
-        },
-    )
-}
-
-/// Batched distributed first-visitor expansion under per-source visited
-/// masks (complement semantics hardcoded: a claim is dropped where
-/// `visited[s]` is `true`). Row `s` of the result is bit-identical to the
-/// single-source distributed kernel on source `s` alone — and therefore
-/// to the serial shared-memory kernel.
-pub fn expand_dist_first_visitor<T: Copy + Send + Sync>(
-    a: &DistCsrMatrix<T>,
-    f: &DistFrontier<usize>,
-    visited: &[DistDenseVec<bool>],
-    opts: SpMSpVOpts,
-    dctx: &DistCtx,
-) -> Result<(DistFrontier<usize>, SimReport)> {
-    check_batch(a, f, dctx)?;
-    let grid = a.grid();
-    let p = grid.locales();
-    let n = a.ncols();
-    let k = f.k();
-    check_dims("visited masks vs batch width", k, visited.len())?;
-    for m in visited {
-        check_dims("mask length vs matrix cols", n, m.len())?;
-        if m.locales() != p {
-            return Err(GblasError::DimensionMismatch {
-                expected: format!("mask over {p} locales"),
-                actual: format!("mask over {} locales", m.locales()),
-            });
-        }
-    }
-    let elem_bytes = (2 * std::mem::size_of::<usize>()) as u64;
-    // A batched claim carries (source slot, destination offset, parent).
-    let claim_bytes = (3 * std::mem::size_of::<usize>()) as u64;
-
-    // ---- Superstep 1: fused gather (one message per locale pair),
-    // executed from the cached or freshly-inspected schedule.
-    let (sched_plan, sched) = expand_schedule(a, k, dctx);
-    let (gather_profiles, lxs) = gather_batch(sched_plan.gather(), f, elem_bytes, dctx)?;
-
-    // ---- Local multiply: the shared single-source kernel, once per
-    // source, on this locale's block.
-    let mut local_profiles: Vec<Profile> = Vec::with_capacity(p);
-    let mut local_results: Vec<Vec<Vec<(usize, usize)>>> = Vec::with_capacity(p);
-    for (local, results) in dctx.for_each_locale(|l| {
-        let row_range = a.row_range(l);
-        let col_range = a.col_range(l);
-        let lctx = dctx.locale_ctx_for(l);
-        let mut per_source: Vec<Vec<(usize, usize)>> = Vec::with_capacity(k);
-        for lx in &lxs[l] {
-            let ly = if row_range.is_empty() || col_range.is_empty() {
-                SparseVec::new(col_range.len().max(1))
-            } else {
-                spmspv_first_visitor(a.block(l), lx, None, opts, &lctx)?
-            };
-            per_source.push(
-                ly.iter()
-                    .map(|(lj, &lrid)| (lj + col_range.start, lrid + row_range.start))
-                    .collect(),
-            );
-        }
-        Ok((lctx.take_profile(), per_source))
-    })? {
-        local_profiles.push(local);
-        local_results.push(results);
-    }
-
-    // ---- Superstep 2 (scatter, send side): all k sources' claims for an
-    // owner share one outbox — and one bulk message per pair.
-    let out_dist = crate::grid::BlockDist::new(n, p);
-    let (send_profiles, outboxes): (Vec<Profile>, PooledOutboxes<(usize, usize, usize)>) = dctx
-        .for_each_locale(|l| {
-            let sctx = dctx.locale_ctx_for(l);
-            let mut c = gblas_core::par::Counters::default();
-            let mut outbox = sctx.ws_nested_vec::<(usize, usize, usize)>(p);
-            let mut per_dst = sctx.ws_filled_vec::<u64>(p, 0);
-            for (s, claims) in local_results[l].iter().enumerate() {
-                for &(col, rid) in claims {
-                    let owner = out_dist.owner(col);
-                    if owner != l {
-                        per_dst[owner] += 1;
-                    }
-                    c.atomics += 1;
-                    outbox[owner].push((s, col - out_dist.range(owner).start, rid));
-                }
-            }
-            for (dst, msgs) in per_dst.iter().enumerate() {
-                if *msgs > 0 {
-                    dctx.comm.bulk(PHASE_SCATTER, l, dst, 1, *msgs * claim_bytes)?;
-                }
-            }
-            sctx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((sctx.take_profile(), outbox))
-        })?
-        .into_iter()
-        .unzip();
-
-    // ---- Superstep 3 (scatter, owner side): per source, drain senders in
-    // ascending locale order — the single-source resolution order — with
-    // the source's own visited bit checked at the owner.
-    let (apply_profiles, owner_shards): (Vec<Profile>, Vec<Vec<SparseVec<usize>>>) = dctx
-        .for_each_locale(|o| {
-            let octx = dctx.locale_ctx_for(o);
-            let range = out_dist.range(o);
-            let mut c = gblas_core::par::Counters::default();
-            let mut shards: Vec<SparseVec<usize>> = Vec::with_capacity(k);
-            // `s` filters outbox entries (`es != s`) *and* indexes the
-            // source's visited vector — not a plain slice walk.
-            #[allow(clippy::needless_range_loop)]
-            for s in 0..k {
-                let mut isthere = octx.ws_filled_vec::<bool>(range.len(), false);
-                let mut value = octx.ws_filled_vec::<usize>(range.len(), 0);
-                for outbox in &outboxes {
-                    for &(es, off, rid) in &outbox[o] {
-                        if es != s {
-                            continue;
-                        }
-                        c.rand_access += 1;
-                        if visited[s].segment(o)[off] {
-                            continue;
-                        }
-                        if !isthere[off] {
-                            isthere[off] = true;
-                            value[off] = rid;
-                        }
-                    }
-                }
-                let mut inds = Vec::new();
-                let mut vals = Vec::new();
-                for (off, &set) in isthere.iter().enumerate() {
-                    if set {
-                        inds.push(range.start + off);
-                        vals.push(value[off]);
-                    }
-                }
-                c.elems += range.len() as u64;
-                shards.push(SparseVec::from_sorted(n, inds, vals)?);
-            }
-            octx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((octx.take_profile(), shards))
-        })?
-        .into_iter()
-        .unzip();
-    let mut scatter_profiles = send_profiles;
-    for (l, apply) in apply_profiles.iter().enumerate() {
-        for (name, cs) in apply.iter() {
-            scatter_profiles[l].counters_mut(name).merge(cs);
-        }
-    }
-    let rows = (0..k)
-        .map(|s| {
-            DistSparseVec::from_shards(n, owner_shards.iter().map(|sh| sh[s].clone()).collect())
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let out = DistFrontier { capacity: n, locales: p, rows };
-
-    let mut op = dctx.op("expand_dist_first_visitor");
-    op.attr("k", k)
-        .attr("nrows", a.nrows())
-        .attr("ncols", n)
-        .attr("masked", true)
-        .sched(sched)
-        .nnz(f.nnz() as u64);
-    op.spawn(PHASE_GATHER, 1);
-    op.compute(PHASE_GATHER, &gather_profiles);
-    op.compute_folded(PHASE_LOCAL, &local_profiles);
-    op.compute(PHASE_SCATTER, &scatter_profiles);
-    Ok((out, op.finish()))
-}
-
-/// Batched distributed semiring expansion (unmasked): row `s` of the
-/// result is `y_s[j] = ⊕_i f_s[i] ⊗ A[i,j]`, accumulated at the owner in
-/// ascending sender order — the single-source kernel's exact
-/// floating-point order, so each row matches its solo run bit for bit.
-pub fn expand_dist_semiring<A, B, C, AddM, MulOp>(
-    a: &DistCsrMatrix<B>,
-    f: &DistFrontier<A>,
-    ring: &Semiring<AddM, MulOp>,
-    opts: SpMSpVOpts,
-    dctx: &DistCtx,
-) -> Result<(DistFrontier<C>, SimReport)>
-where
-    A: Copy + Send + Sync + 'static,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + PartialEq + 'static,
-    AddM: Monoid<C>,
-    MulOp: BinaryOp<A, B, C>,
-{
-    check_batch(a, f, dctx)?;
-    let grid = a.grid();
-    let p = grid.locales();
-    let n = a.ncols();
-    let k = f.k();
-    let elem_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<A>()) as u64;
-    let claim_bytes = (2 * std::mem::size_of::<usize>() + std::mem::size_of::<C>()) as u64;
-
-    let (sched_plan, sched) = expand_schedule(a, k, dctx);
-    let (gather_profiles, lxs) = gather_batch(sched_plan.gather(), f, elem_bytes, dctx)?;
-
-    let mut local_profiles: Vec<Profile> = Vec::with_capacity(p);
-    let mut local_results: Vec<Vec<Vec<(usize, C)>>> = Vec::with_capacity(p);
-    for (local, results) in dctx.for_each_locale(|l| {
-        let row_range = a.row_range(l);
-        let col_range = a.col_range(l);
-        let lctx = dctx.locale_ctx_for(l);
-        let mut per_source: Vec<Vec<(usize, C)>> = Vec::with_capacity(k);
-        for lx in &lxs[l] {
-            let ly = if row_range.is_empty() || col_range.is_empty() {
-                SparseVec::new(col_range.len().max(1))
-            } else {
-                spmspv_semiring_masked(a.block(l), lx, ring, None, opts, &lctx)?.vector
-            };
-            per_source.push(ly.iter().map(|(lj, &v)| (lj + col_range.start, v)).collect());
-        }
-        Ok((lctx.take_profile(), per_source))
-    })? {
-        local_profiles.push(local);
-        local_results.push(results);
-    }
-
-    let out_dist = crate::grid::BlockDist::new(n, p);
-    let (send_profiles, outboxes): (Vec<Profile>, PooledOutboxes<(usize, usize, C)>) = dctx
-        .for_each_locale(|l| {
-            let sctx = dctx.locale_ctx_for(l);
-            let mut c = gblas_core::par::Counters::default();
-            let mut outbox = sctx.ws_nested_vec::<(usize, usize, C)>(p);
-            let mut per_dst = sctx.ws_filled_vec::<u64>(p, 0);
-            for (s, claims) in local_results[l].iter().enumerate() {
-                for &(col, v) in claims {
-                    let owner = out_dist.owner(col);
-                    if owner != l {
-                        per_dst[owner] += 1;
-                    }
-                    c.atomics += 1;
-                    outbox[owner].push((s, col - out_dist.range(owner).start, v));
-                }
-            }
-            for (dst, msgs) in per_dst.iter().enumerate() {
-                if *msgs > 0 {
-                    dctx.comm.bulk(PHASE_SCATTER, l, dst, 1, *msgs * claim_bytes)?;
-                }
-            }
-            sctx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((sctx.take_profile(), outbox))
-        })?
-        .into_iter()
-        .unzip();
-
-    let (apply_profiles, owner_shards): (Vec<Profile>, Vec<Vec<SparseVec<C>>>) = dctx
-        .for_each_locale(|o| {
-            let octx = dctx.locale_ctx_for(o);
-            let range = out_dist.range(o);
-            let mut c = gblas_core::par::Counters::default();
-            let mut shards: Vec<SparseVec<C>> = Vec::with_capacity(k);
-            for s in 0..k {
-                let mut occupied = octx.ws_filled_vec::<bool>(range.len(), false);
-                let mut value = octx.ws_filled_vec::<C>(range.len(), ring.zero::<C>());
-                for outbox in &outboxes {
-                    for &(es, off, v) in &outbox[o] {
-                        if es != s {
-                            continue;
-                        }
-                        if occupied[off] {
-                            value[off] = ring.accumulate(value[off], v);
-                            c.flops += 1;
-                        } else {
-                            occupied[off] = true;
-                            value[off] = v;
-                        }
-                    }
-                }
-                let mut inds = Vec::new();
-                let mut vals = Vec::new();
-                for (off, &set) in occupied.iter().enumerate() {
-                    if set {
-                        inds.push(range.start + off);
-                        vals.push(value[off]);
-                    }
-                }
-                c.elems += range.len() as u64;
-                shards.push(SparseVec::from_sorted(n, inds, vals)?);
-            }
-            octx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((octx.take_profile(), shards))
-        })?
-        .into_iter()
-        .unzip();
-    let mut scatter_profiles = send_profiles;
-    for (l, apply) in apply_profiles.iter().enumerate() {
-        for (name, cs) in apply.iter() {
-            scatter_profiles[l].counters_mut(name).merge(cs);
-        }
-    }
-    let rows = (0..k)
-        .map(|s| {
-            DistSparseVec::from_shards(n, owner_shards.iter().map(|sh| sh[s].clone()).collect())
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let out = DistFrontier { capacity: n, locales: p, rows };
-
-    let mut op = dctx.op("expand_dist_semiring");
-    op.attr("k", k).attr("nrows", a.nrows()).attr("ncols", n).sched(sched).nnz(f.nnz() as u64);
-    op.spawn(PHASE_GATHER, 1);
-    op.compute(PHASE_GATHER, &gather_profiles);
-    op.compute_folded(PHASE_LOCAL, &local_profiles);
-    op.compute(PHASE_SCATTER, &scatter_profiles);
-    Ok((out, op.finish()))
 }
 
 /// Batched distributed dense SpMM: `ys[s] = xs[s] · A` for the whole
@@ -716,7 +308,6 @@ where
 mod tests {
     use super::*;
     use crate::grid::ProcGrid;
-    use crate::ops::spmspv::{spmspv_dist_with, CommStrategy, DistMask};
     use gblas_core::algebra::semirings;
     use gblas_core::container::DenseVec;
     use gblas_core::gen;
@@ -724,108 +315,6 @@ mod tests {
 
     fn machine_for(grid: ProcGrid) -> MachineConfig {
         MachineConfig::edison_cluster(grid.locales(), 24)
-    }
-
-    #[test]
-    fn batched_rows_match_single_source_dist_runs() {
-        let n = 400;
-        let a = gen::erdos_renyi(n, 6, 211);
-        let sources = [0usize, 7, 7, 390];
-        for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
-            let grid = ProcGrid::new(pr, pc);
-            let p = grid.locales();
-            let da = DistCsrMatrix::from_global(&a, grid);
-            let f =
-                DistFrontier::from_entries(n, sources.iter().map(|&s| vec![(s, s)]).collect(), p)
-                    .unwrap();
-            let visited: Vec<DistDenseVec<bool>> = sources
-                .iter()
-                .map(|&s| DistDenseVec::from_global(&DenseVec::from_fn(n, |i| i == s), p))
-                .collect();
-            let dctx = DistCtx::new(machine_for(grid));
-            let (batched, report) =
-                expand_dist_first_visitor(&da, &f, &visited, SpMSpVOpts::default(), &dctx).unwrap();
-            assert!(report.total() > 0.0);
-            for (s, &src) in sources.iter().enumerate() {
-                let x = DistSparseVec::from_global(
-                    &SparseVec::from_sorted(n, vec![src], vec![src]).unwrap(),
-                    p,
-                );
-                let sctx = DistCtx::new(machine_for(grid));
-                let (single, _) = spmspv_dist_with(
-                    &da,
-                    &x,
-                    Some(DistMask::complement(&visited[s])),
-                    CommStrategy::Bulk,
-                    SpMSpVOpts::default(),
-                    &sctx,
-                )
-                .unwrap();
-                assert_eq!(
-                    batched.row(s).to_global(),
-                    single.to_global(),
-                    "grid {pr}x{pc} slot {s}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_gather_pays_one_message_per_pair() {
-        let n = 600;
-        let a = gen::erdos_renyi(n, 6, 221);
-        let grid = ProcGrid::new(2, 4);
-        let p = grid.locales();
-        let da = DistCsrMatrix::from_global(&a, grid);
-        let k = 8;
-        let f = DistFrontier::from_entries(n, (0..k).map(|s| vec![(s * 50, s * 50)]).collect(), p)
-            .unwrap();
-        let visited: Vec<DistDenseVec<bool>> =
-            (0..k).map(|_| DistDenseVec::filled(n, false, p)).collect();
-        let dctx = DistCtx::new(machine_for(grid));
-        dctx.comm.record_history();
-        let _ = expand_dist_first_visitor(&da, &f, &visited, SpMSpVOpts::default(), &dctx).unwrap();
-        let gather_msgs: u64 =
-            dctx.comm.history().iter().filter(|e| e.phase == PHASE_GATHER).map(|e| e.msgs).sum();
-        // one fused message per (locale, remote row peer) pair, at most
-        let peers = grid.pc() - 1;
-        assert!(
-            gather_msgs <= (p * peers) as u64,
-            "{gather_msgs} gather msgs for {p} locales x {peers} peers"
-        );
-    }
-
-    #[test]
-    fn batched_semiring_rows_match_single_source_dist_runs() {
-        let n = 300;
-        let a = gen::erdos_renyi(n, 5, 231);
-        let ring = semirings::min_plus();
-        for (pr, pc) in [(1, 1), (2, 2)] {
-            let grid = ProcGrid::new(pr, pc);
-            let p = grid.locales();
-            let da = DistCsrMatrix::from_global(&a, grid);
-            let f =
-                DistFrontier::from_entries(n, vec![vec![(0, 0.0)], vec![(100, 0.0)]], p).unwrap();
-            let dctx = DistCtx::new(machine_for(grid));
-            let (batched, _) =
-                expand_dist_semiring(&da, &f, &ring, SpMSpVOpts::default(), &dctx).unwrap();
-            for (s, x) in f.rows().iter().enumerate() {
-                let sctx = DistCtx::new(machine_for(grid));
-                let (single, _) = crate::ops::spmspv::spmspv_dist_semiring(
-                    &da,
-                    x,
-                    &ring,
-                    CommStrategy::Bulk,
-                    &sctx,
-                )
-                .unwrap();
-                assert_eq!(
-                    batched.row(s).to_global(),
-                    single.to_global(),
-                    "grid {pr}x{pc} slot {s}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -863,31 +352,9 @@ mod tests {
         let grid = ProcGrid::new(2, 2);
         let da = DistCsrMatrix::from_global(&a, grid);
         let dctx = DistCtx::new(machine_for(grid));
-        let f = DistFrontier::<usize>::empty(100, 0, 4);
-        let (out, _) =
-            expand_dist_first_visitor(&da, &f, &[], SpMSpVOpts::default(), &dctx).unwrap();
-        assert_eq!(out.k(), 0);
         let (ys, _) =
             spmm_dense_dist::<f64, f64, f64, _, _>(&da, &[], &semirings::plus_times_f64(), &dctx)
                 .unwrap();
         assert!(ys.is_empty());
-    }
-
-    #[test]
-    fn shape_validation() {
-        let a = gen::erdos_renyi(100, 4, 261);
-        let grid = ProcGrid::new(2, 2);
-        let da = DistCsrMatrix::from_global(&a, grid);
-        let dctx = DistCtx::new(machine_for(grid));
-        // wrong capacity
-        let f = DistFrontier::from_entries(99, vec![vec![(0, 0usize)]], 4).unwrap();
-        let m = vec![DistDenseVec::filled(100, false, 4)];
-        assert!(expand_dist_first_visitor(&da, &f, &m, SpMSpVOpts::default(), &dctx).is_err());
-        // mask count mismatch
-        let f = DistFrontier::from_entries(100, vec![vec![(0, 0usize)]], 4).unwrap();
-        assert!(expand_dist_first_visitor(&da, &f, &[], SpMSpVOpts::default(), &dctx).is_err());
-        // wrong locale count
-        let f2 = DistFrontier::from_entries(100, vec![vec![(0, 0usize)]], 2).unwrap();
-        assert!(expand_dist_first_visitor(&da, &f2, &m, SpMSpVOpts::default(), &dctx).is_err());
     }
 }

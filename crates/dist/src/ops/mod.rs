@@ -13,12 +13,18 @@
 //! | eWiseMult | — (local by construction) | [`ewise::ewise_mult_dist`] | Fig 5 |
 //! | SpMSpV | [`spmspv::spmspv_dist`] (fine-grained gather/scatter, Listing 8) | [`spmspv::spmspv_dist_bulk`] (aggregated, §IV's suggested fix) | Figs 8, 9 |
 //!
+//! Both SpMSpV versions are the `k = 1` batch of one engine,
+//! [`spmspv::spmspv_dist_batch`]: `k` frontiers, optional per-source
+//! output masks (masks in distributed memory, §V), a first-visitor or
+//! semiring accumulation, and either comm strategy — single-source and
+//! batched multi-source SpMSpV are the same gather → local → scatter
+//! sweep.
+//!
 //! Beyond the paper's subset, the crate also ships the distributed
-//! operations a complete library needs, all bulk-synchronous:
-//! [`spmspv::spmspv_dist_masked`] (masks in distributed memory, §V) and
-//! [`spmspv::spmspv_dist_semiring`] (general accumulation), [`spmv`]
-//! (dense vectors), [`mxm`] (sparse SUMMA SpGEMM), [`transpose`]
-//! (mirror-block exchange), and [`reduce`] (binomial-tree all-reduce).
+//! operations a complete library needs, all bulk-synchronous: [`spmv`]
+//! (dense vectors) and its batched form [`expand::spmm_dense_dist`],
+//! [`mxm`] (sparse SUMMA SpGEMM), [`transpose`] (mirror-block exchange),
+//! and [`reduce`] (binomial-tree all-reduce).
 
 pub mod apply;
 pub mod assign;

@@ -1,45 +1,50 @@
-//! Distributed `SpMSpV` (§III-D, Listing 8, Figs 8–9).
+//! Distributed `SpMSpV` (§III-D, Listing 8, Figs 8–9) — one engine for
+//! one source and for a batch of `k`.
 //!
-//! `y ← x A` on a 2-D block-distributed matrix, in the paper's three
-//! steps, each a separately-timed component:
+//! `y_s ← x_s A` for `k` frontiers `x_s` on a 2-D block-distributed
+//! matrix, in the paper's three steps, each a separately-timed component:
 //!
-//! 1. **`gather`** — every locale `(r, c)` collects the pieces of `x`
-//!    owned by the locales of its processor *row* `r` (those blocks cover
-//!    exactly its row range). Listing 8 copies the remote indices
+//! 1. **`gather`** — every locale `(r, c)` collects the pieces of every
+//!    `x_s` owned by the locales of its processor *row* `r` (those blocks
+//!    cover exactly its row range). Listing 8 copies the remote indices
 //!    element-at-a-time (`lxDom._value.indices[di] = si` over a remote
-//!    iterator), which [`spmspv_dist`] reproduces as fine-grained traffic;
-//!    [`spmspv_dist_bulk`] aggregates each source block into one message —
-//!    the §IV "bulk-synchronous communication" remedy.
+//!    iterator), which [`CommStrategy::Fine`] reproduces as fine-grained
+//!    traffic; [`CommStrategy::Bulk`] fuses each remote row peer's slices
+//!    of all `k` frontiers into one message — the §IV
+//!    "bulk-synchronous communication" remedy.
 //! 2. **`local`** — each locale runs the shared-memory SpMSpV
-//!    ([`gblas_core::ops::spmspv::spmspv_first_visitor`]) on its block.
-//!    This is the part the paper observes scaling well ("up to 43×").
+//!    ([`gblas_core::ops::spmspv`]) on its block, once per source. This is
+//!    the part the paper observes scaling well ("up to 43×"), and running
+//!    the single-source kernel per source is what makes slot `s` of a
+//!    batch bit-identical to a solo run from `x_s`.
 //! 3. **`scatter`** — local results are written into a *global SPA*: a
 //!    dense Block-distributed `isthere`/value pair. Listing 8 writes one
 //!    remote atomic per output element (fine-grained again); the bulk
 //!    variant aggregates per destination locale. Under the SPMD executor
 //!    this runs as two supersteps: every source locale builds one outbox
-//!    per owning locale (and logs its own traffic), then every owner
-//!    drains its inboxes — in source-locale order, so first-writer-wins
-//!    resolves exactly as a serial sweep would — into its *own* dense
-//!    segment and builds its output shard from it (`denseToSparse`).
+//!    per owning locale, claims grouped by ascending slot (and logs its
+//!    own traffic), then every owner drains its inboxes — in source-locale
+//!    order, so first-writer-wins and floating-point accumulation resolve
+//!    exactly as a serial sweep would — into its *own* dense segment and
+//!    builds its output shards from it (`denseToSparse`).
 //!
-//! The output stores, per reached column, the **global row id** of the
-//! first visitor — the BFS parent vector.
+//! [`spmspv_dist_batch`] is the engine; single-source SpMSpV is its
+//! `k = 1` batch (`std::slice::from_ref(x)`). An [`Accumulate`] picks
+//! what lands in an output entry: [`FirstVisitor`] stores the **global
+//! row id** of the first visitor (the BFS parent vector), a
+//! [`Semiring`] folds products with its add monoid.
 
 use crate::exec::{DistCtx, PooledOutboxes};
-use crate::grid::ProcGrid;
+use crate::grid::BlockDist;
 use crate::mat::DistCsrMatrix;
 use crate::sched::{FrontierClass, GatherPlan, PlanData};
 use crate::vec::DistSparseVec;
-use gblas_core::container::SparseVec;
+use gblas_core::algebra::{BinaryOp, Monoid, Semiring};
+use gblas_core::container::{CsrMatrix, SparseVec};
 use gblas_core::error::{check_dims, GblasError, Result};
-use gblas_core::ops::spmspv::{spmspv_first_visitor, SpMSpVOpts};
-use gblas_core::par::{Counters, Profile};
+use gblas_core::ops::spmspv::{spmspv_first_visitor, spmspv_semiring_masked, SpMSpVOpts};
+use gblas_core::par::{Counters, ExecCtx, Profile};
 use gblas_sim::SimReport;
-
-/// One aggregated gather reply: the owner's `(indices, values)` slice of
-/// the requested segment.
-type ReplySlice<V> = (Vec<usize>, Vec<V>);
 
 /// Phase: gather `x` along the processor row.
 pub const PHASE_GATHER: &str = "gather";
@@ -54,177 +59,11 @@ pub enum CommStrategy {
     /// Element-at-a-time remote access — Listing 8 as written.
     #[default]
     Fine,
-    /// Aggregated communication (§IV's recommendation). The gather runs
-    /// the coalesced request/reply protocol of [`gather_row_blocks`] —
-    /// one request and one reply per locale pair, priced by actual
-    /// payload width — and the scatter sends one block per pair.
+    /// Aggregated communication (§IV's recommendation): the gather sends
+    /// one fused message per (locale, remote row peer) carrying every
+    /// source's slice, priced by actual payload width, and the scatter
+    /// sends one block per pair.
     Bulk,
-}
-
-/// Bytes of one coalesced gather *request*: the requested global row
-/// range, `(start, end)`.
-const REQ_BYTES: u64 = (2 * std::mem::size_of::<usize>()) as u64;
-
-/// Gather every locale's row-block slice of `x` from its processor row,
-/// executing from a compiled [`GatherPlan`] (the *executor* half of the
-/// inspector–executor split — the plan may be freshly built or replayed
-/// from the [`crate::ScheduleCache`]; either way this runs the same code,
-/// so replay is bit-invisible). Returns per-locale gather [`Profile`]s
-/// and the assembled local vectors (local row coordinates, capacity
-/// `row_range.len().max(1)`).
-///
-/// * [`CommStrategy::Fine`] — Listing 8 as written: each locale walks its
-///   row peers' shards element-at-a-time (two dependent remote accesses
-///   per nonzero), in a single superstep. This is the differential oracle
-///   the figures plot blowing up (Figs 8–9).
-/// * [`CommStrategy::Bulk`] — the aggregated protocol, three supersteps:
-///   (1) every locale posts one coalesced *request* — the row-range
-///   descriptor it needs — per remote row peer (the descriptors come
-///   straight off the plan, so no request outbox is materialised);
-///   (2) every owner answers its plan's reply lines in requester order,
-///   each with one message carrying its whole slice of the requested
-///   segment, priced from the actual payload width; (3) every locale
-///   assembles its replies — ascending peer order concatenates sorted
-///   thanks to block alignment — into `lx`. Latency α is paid once per
-///   locale pair, and each locale sends ≤ `pc − 1` messages per superstep
-///   instead of one per element.
-fn gather_row_blocks<V>(
-    grid: ProcGrid,
-    plan: &GatherPlan,
-    x: &DistSparseVec<V>,
-    strategy: CommStrategy,
-    elem_bytes: u64,
-    dctx: &DistCtx,
-) -> Result<(Vec<Profile>, Vec<SparseVec<V>>)>
-where
-    V: Copy + Send + Sync + 'static,
-{
-    let p = grid.locales();
-    if strategy == CommStrategy::Fine {
-        // ---- One superstep: element-wise pulls, exactly Listing 8.
-        return Ok(dctx
-            .for_each_locale(|l| {
-                let (rs, _) = plan.row_ranges[l];
-                let gctx = dctx.locale_ctx_for(l);
-                let mut inds: Vec<usize> = Vec::new();
-                let mut vals: Vec<V> = Vec::new();
-                for &src in &plan.row_peers[l] {
-                    let shard = x.shard(src);
-                    let nnz = shard.nnz() as u64;
-                    if src != l {
-                        // Listing 8 walks the remote domain's iterator and
-                        // the remote value array element-by-element: two
-                        // dependent accesses per nonzero.
-                        dctx.comm.fine_dependent(
-                            PHASE_GATHER,
-                            l,
-                            src,
-                            2 * nnz,
-                            nnz * elem_bytes,
-                        )?;
-                    }
-                    inds.extend(shard.indices().iter().map(|&i| i - rs));
-                    vals.extend_from_slice(shard.values());
-                }
-                gctx.record(PHASE_GATHER, |c| {
-                    c.elems += inds.len() as u64;
-                    c.bytes_moved += inds.len() as u64 * elem_bytes;
-                });
-                let (start, end) = plan.row_ranges[l];
-                let lx = SparseVec::from_sorted((end - start).max(1), inds, vals)
-                    .expect("row-ordered shards concatenate sorted");
-                Ok((gctx.take_profile(), lx))
-            })?
-            .into_iter()
-            .unzip());
-    }
-
-    // ---- Superstep 1 (requests): one coalesced segment descriptor per
-    // remote row peer. The descriptors are exactly the plan's reply lines
-    // seen from the requester side, so nothing needs to be staged in an
-    // outbox — each request is logged and the owner already knows what to
-    // serve.
-    let req_profiles: Vec<Profile> = dctx.for_each_locale(|l| {
-        let gctx = dctx.locale_ctx_for(l);
-        let mut c = Counters::default();
-        for &src in &plan.row_peers[l] {
-            if src == l {
-                continue;
-            }
-            dctx.comm.bulk(PHASE_GATHER, l, src, 1, REQ_BYTES)?;
-            c.elems += 1;
-        }
-        gctx.record(PHASE_GATHER, |pc| pc.merge(&c));
-        Ok(gctx.take_profile())
-    })?;
-
-    // ---- Superstep 2 (replies): every owner serves its plan's reply
-    // lines in requester order, answering each with one message carrying
-    // its slice of the requested segment — priced from the payload that
-    // actually crosses, not per element.
-    let (rep_profiles, rep_outboxes): (Vec<Profile>, PooledOutboxes<ReplySlice<V>>) = dctx
-        .for_each_locale(|o| {
-            let gctx = dctx.locale_ctx_for(o);
-            let shard = x.shard(o);
-            let mut outbox = gctx.ws_nested_vec::<ReplySlice<V>>(p);
-            let mut c = Counters::default();
-            for &(requester, start, end) in &plan.replies[o] {
-                // With block alignment the slice is the whole shard,
-                // but cut it honestly from the requested range.
-                let lo = shard.indices().partition_point(|&i| i < start);
-                let hi = shard.indices().partition_point(|&i| i < end);
-                let inds = shard.indices()[lo..hi].to_vec();
-                let vals = shard.values()[lo..hi].to_vec();
-                let nnz = inds.len() as u64;
-                c.elems += nnz;
-                c.bytes_moved += nnz * elem_bytes;
-                dctx.comm.bulk(PHASE_GATHER, o, requester, 1, nnz * elem_bytes)?;
-                outbox[requester].push((inds, vals));
-            }
-            gctx.record(PHASE_GATHER, |pc| pc.merge(&c));
-            Ok((gctx.take_profile(), outbox))
-        })?
-        .into_iter()
-        .unzip();
-
-    // ---- Superstep 3 (assemble): drain the reply inboxes in ascending
-    // peer order — sorted concatenation, by the block alignment property —
-    // alongside the locale's own shard.
-    let (asm_profiles, lxs): (Vec<Profile>, Vec<SparseVec<V>>) = dctx
-        .for_each_locale(|l| {
-            let (rs, re) = plan.row_ranges[l];
-            let gctx = dctx.locale_ctx_for(l);
-            let mut inds: Vec<usize> = Vec::new();
-            let mut vals: Vec<V> = Vec::new();
-            for &src in &plan.row_peers[l] {
-                if src == l {
-                    let shard = x.shard(l);
-                    inds.extend(shard.indices().iter().map(|&i| i - rs));
-                    vals.extend_from_slice(shard.values());
-                } else {
-                    for (rinds, rvals) in &rep_outboxes[src][l] {
-                        inds.extend(rinds.iter().map(|&i| i - rs));
-                        vals.extend_from_slice(rvals);
-                    }
-                }
-            }
-            gctx.record(PHASE_GATHER, |c| {
-                c.elems += inds.len() as u64;
-                c.bytes_moved += inds.len() as u64 * elem_bytes;
-            });
-            let lx = SparseVec::from_sorted((re - rs).max(1), inds, vals)
-                .expect("row-ordered replies concatenate sorted");
-            Ok((gctx.take_profile(), lx))
-        })?
-        .into_iter()
-        .unzip();
-
-    let mut profiles = req_profiles;
-    for (l, prof) in profiles.iter_mut().enumerate() {
-        prof.merge(&rep_profiles[l]);
-        prof.merge(&asm_profiles[l]);
-    }
-    Ok((profiles, lxs))
 }
 
 /// A mask over the *output* columns of the distributed SpMSpV — the
@@ -259,13 +98,228 @@ impl<'a> DistMask<'a> {
     }
 }
 
-/// Listing 8 as written: fine-grained gather and scatter.
+/// How the products landing on one output entry combine — the `accum`
+/// of a GraphBLAS `vxm`. `T` is the matrix type, `V` the frontier type,
+/// `C` the output type.
+pub trait Accumulate<T, V, C>: Sync {
+    /// Op span name of a single-source call.
+    const OP: &'static str;
+    /// Op span name of a batch (`k ≠ 1`).
+    const BATCH_OP: &'static str;
+
+    /// Multiply one locale's block by one gathered frontier slice (local
+    /// row coordinates); returns `(global column, value)` claims.
+    fn local(
+        &self,
+        block: &CsrMatrix<T>,
+        lx: &SparseVec<V>,
+        origin: (usize, usize),
+        opts: SpMSpVOpts,
+        ctx: &ExecCtx,
+    ) -> Result<Vec<(usize, C)>>;
+
+    /// The fill of an empty output entry.
+    fn zero(&self) -> C;
+
+    /// Fold a later claim `v` into an occupied entry.
+    fn merge(&self, acc: &mut C, v: C, c: &mut Counters);
+}
+
+/// First-visitor accumulation: an output entry keeps the global row id of
+/// the first claim that reaches it (Listing 8's parent vector); frontier
+/// values are never read.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FirstVisitor;
+
+impl<T: Copy + Send + Sync, V: Copy + Send + Sync> Accumulate<T, V, usize> for FirstVisitor {
+    const OP: &'static str = "spmspv_dist";
+    const BATCH_OP: &'static str = "expand_dist_first_visitor";
+
+    fn local(
+        &self,
+        block: &CsrMatrix<T>,
+        lx: &SparseVec<V>,
+        (row0, col0): (usize, usize),
+        opts: SpMSpVOpts,
+        ctx: &ExecCtx,
+    ) -> Result<Vec<(usize, usize)>> {
+        let ly = spmspv_first_visitor(block, lx, None, opts, ctx)?;
+        Ok(ly.iter().map(|(lj, &lrid)| (lj + col0, lrid + row0)).collect())
+    }
+
+    fn zero(&self) -> usize {
+        0
+    }
+
+    fn merge(&self, _acc: &mut usize, _v: usize, _c: &mut Counters) {}
+}
+
+/// Semiring accumulation: `y[j] = ⊕_i x[i] ⊗ A[i,j]`, contributions from
+/// different grid rows combined with the add monoid *at the owning
+/// locale*. This is what distributed SSSP needs (min-plus).
+impl<A, B, C, AddM, MulOp> Accumulate<B, A, C> for Semiring<AddM, MulOp>
+where
+    A: Copy + Send + Sync,
+    B: Copy + Send + Sync,
+    C: Copy + Send + Sync + 'static,
+    AddM: Monoid<C>,
+    MulOp: BinaryOp<A, B, C>,
+{
+    const OP: &'static str = "spmspv_dist_semiring";
+    const BATCH_OP: &'static str = "expand_dist_semiring";
+
+    fn local(
+        &self,
+        block: &CsrMatrix<B>,
+        lx: &SparseVec<A>,
+        (_, col0): (usize, usize),
+        opts: SpMSpVOpts,
+        ctx: &ExecCtx,
+    ) -> Result<Vec<(usize, C)>> {
+        let ly = spmspv_semiring_masked(block, lx, self, None, opts, ctx)?.vector;
+        Ok(ly.iter().map(|(lj, &v)| (lj + col0, v)).collect())
+    }
+
+    fn zero(&self) -> C {
+        self.add.identity()
+    }
+
+    fn merge(&self, acc: &mut C, v: C, c: &mut Counters) {
+        *acc = self.accumulate(*acc, v);
+        c.flops += 1;
+    }
+}
+
+/// Gather every locale's row-block slices of all `k` frontiers from its
+/// processor row, executing from a compiled [`GatherPlan`] (the
+/// *executor* half of the inspector–executor split — the plan may be
+/// freshly built or replayed from the [`crate::ScheduleCache`]; either way
+/// this runs the same code, so replay is bit-invisible). One superstep
+/// under either strategy; returns per-locale gather [`Profile`]s and, per
+/// locale, the `k` assembled local vectors (local row coordinates,
+/// capacity `row_range.len().max(1)`).
+///
+/// * [`CommStrategy::Fine`] — Listing 8 as written: each locale walks its
+///   row peers' shards element-at-a-time, two dependent remote accesses
+///   per nonzero, summed over the `k` sources. This is the differential
+///   oracle the figures plot blowing up (Figs 8–9).
+/// * [`CommStrategy::Bulk`] — one fused message per (locale, remote row
+///   peer) carrying that peer's slices of all `k` frontiers, priced from
+///   the actual payload width. The pattern is static — every row peer
+///   always needs the whole slice — so no request round is needed, and an
+///   empty payload sends nothing. Latency α is paid at most once per
+///   locale pair.
+///
+/// Either way ascending peer order concatenates sorted, by the block
+/// alignment property.
+#[allow(clippy::type_complexity)] // (per-locale profiles, per-locale k gathered slices)
+fn gather_row_blocks<V>(
+    plan: &GatherPlan,
+    xs: &[DistSparseVec<V>],
+    strategy: CommStrategy,
+    elem_bytes: u64,
+    dctx: &DistCtx,
+) -> Result<(Vec<Profile>, Vec<Vec<SparseVec<V>>>)>
+where
+    V: Copy + Send + Sync + 'static,
+{
+    Ok(dctx
+        .for_each_locale(|l| {
+            let (rs, re) = plan.row_ranges[l];
+            let gctx = dctx.locale_ctx_for(l);
+            let mut inds: Vec<Vec<usize>> = xs.iter().map(|_| Vec::new()).collect();
+            let mut vals: Vec<Vec<V>> = xs.iter().map(|_| Vec::new()).collect();
+            for &src in &plan.row_peers[l] {
+                if src != l {
+                    let nnz: u64 = xs.iter().map(|x| x.shard(src).nnz() as u64).sum();
+                    match strategy {
+                        CommStrategy::Fine => dctx.comm.fine_dependent(
+                            PHASE_GATHER,
+                            l,
+                            src,
+                            2 * nnz,
+                            nnz * elem_bytes,
+                        )?,
+                        CommStrategy::Bulk if nnz > 0 => {
+                            dctx.comm.bulk(PHASE_GATHER, l, src, 1, nnz * elem_bytes)?
+                        }
+                        CommStrategy::Bulk => {}
+                    }
+                }
+                for (s, x) in xs.iter().enumerate() {
+                    let shard = x.shard(src);
+                    inds[s].extend(shard.indices().iter().map(|&i| i - rs));
+                    vals[s].extend_from_slice(shard.values());
+                }
+            }
+            let total: u64 = inds.iter().map(|i| i.len() as u64).sum();
+            gctx.record(PHASE_GATHER, |c| {
+                c.elems += total;
+                c.bytes_moved += total * elem_bytes;
+            });
+            let lxs = inds
+                .into_iter()
+                .zip(vals)
+                .map(|(i, v)| {
+                    SparseVec::from_sorted((re - rs).max(1), i, v)
+                        .expect("row-ordered shards concatenate sorted")
+                })
+                .collect();
+            Ok((gctx.take_profile(), lxs))
+        })?
+        .into_iter()
+        .unzip())
+}
+
+/// Validate the operands of [`spmspv_dist_batch`].
+fn check_operands<T, V>(
+    a: &DistCsrMatrix<T>,
+    xs: &[DistSparseVec<V>],
+    masks: Option<&[DistMask<'_>]>,
+    dctx: &DistCtx,
+) -> Result<()>
+where
+    T: Copy + Send + Sync,
+    V: Copy + Send + Sync + 'static,
+{
+    let p = a.grid().locales();
+    for x in xs {
+        check_dims("x capacity vs matrix rows", a.nrows(), x.capacity())?;
+        if x.locales() != p {
+            return Err(GblasError::DimensionMismatch {
+                expected: format!("{p} locales"),
+                actual: format!("{} locales", x.locales()),
+            });
+        }
+    }
+    if dctx.locales() != p {
+        return Err(GblasError::DimensionMismatch {
+            expected: format!("machine with {p} locales"),
+            actual: format!("machine with {} locales", dctx.locales()),
+        });
+    }
+    if let Some(ms) = masks {
+        check_dims("masks vs batch width", xs.len(), ms.len())?;
+        for m in ms {
+            check_dims("mask length vs matrix cols", a.ncols(), m.bits.len())?;
+            if m.bits.locales() != p {
+                return Err(GblasError::DimensionMismatch {
+                    expected: format!("mask over {p} locales"),
+                    actual: format!("mask over {} locales", m.bits.locales()),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Listing 8 as written: fine-grained gather and scatter, first visitor.
 pub fn spmspv_dist<T: Copy + Send + Sync + 'static>(
     a: &DistCsrMatrix<T>,
     x: &DistSparseVec<T>,
     dctx: &DistCtx,
 ) -> Result<(DistSparseVec<usize>, SimReport)> {
-    spmspv_dist_with(a, x, None, CommStrategy::Fine, SpMSpVOpts::default(), dctx)
+    single_first_visitor(a, x, CommStrategy::Fine, dctx)
 }
 
 /// The bulk-synchronous variant (ablation; §IV).
@@ -274,66 +328,73 @@ pub fn spmspv_dist_bulk<T: Copy + Send + Sync + 'static>(
     x: &DistSparseVec<T>,
     dctx: &DistCtx,
 ) -> Result<(DistSparseVec<usize>, SimReport)> {
-    spmspv_dist_with(a, x, None, CommStrategy::Bulk, SpMSpVOpts::default(), dctx)
+    single_first_visitor(a, x, CommStrategy::Bulk, dctx)
 }
 
-/// Masked distributed SpMSpV (fine-grained communication).
-pub fn spmspv_dist_masked<T: Copy + Send + Sync + 'static>(
+fn single_first_visitor<T: Copy + Send + Sync + 'static>(
     a: &DistCsrMatrix<T>,
     x: &DistSparseVec<T>,
-    mask: DistMask<'_>,
+    strategy: CommStrategy,
     dctx: &DistCtx,
 ) -> Result<(DistSparseVec<usize>, SimReport)> {
-    spmspv_dist_with(a, x, Some(mask), CommStrategy::Fine, SpMSpVOpts::default(), dctx)
+    let xs = std::slice::from_ref(x);
+    let (mut ys, report) =
+        spmspv_dist_batch(a, xs, None, &FirstVisitor, strategy, SpMSpVOpts::default(), dctx)?;
+    Ok((ys.pop().expect("one frontier in, one vector out"), report))
 }
 
-/// Full-control entry point. The frontier's value type `V` is independent
-/// of the matrix type — first-visitor semantics never read the values.
-pub fn spmspv_dist_with<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
+/// The distributed SpMSpV engine: `y_s ← x_s A` for every frontier `x_s`
+/// in `xs`, in one gather → local multiply → scatter sweep. Pass
+/// `std::slice::from_ref(x)` for one source or
+/// [`crate::DistFrontier::rows`] for a batch; every `k` runs the same
+/// code, and slot `s` of the result is bit-identical to a `k = 1` call
+/// on `x_s` alone.
+///
+/// * `masks` — optional per-source output masks (one per frontier),
+///   enforced owner-side: a suppressed claim still pays its scatter
+///   message, then the owning locale's bit rejects it.
+/// * `accum` — [`FirstVisitor`] (BFS parents; the frontier's value type
+///   is independent of the matrix type) or a [`Semiring`].
+/// * `opts` — the local kernel's options. A `MergeStrategy::Auto` is
+///   resolved once per call from the batch's *global* nnz, so every
+///   locale and every slot runs the same merge and the span records it.
+///
+/// Under [`CommStrategy::Bulk`] the gather and the scatter each send at
+/// most one message per locale pair for the whole batch — the
+/// CombBLAS 2.0 multi-source sweep. A claim carries a slot tag (and pays
+/// its bytes) only when `k > 1`.
+pub fn spmspv_dist_batch<T, V, C, K>(
     a: &DistCsrMatrix<T>,
-    x: &DistSparseVec<V>,
-    mask: Option<DistMask<'_>>,
+    xs: &[DistSparseVec<V>],
+    masks: Option<&[DistMask<'_>]>,
+    accum: &K,
     strategy: CommStrategy,
     opts: SpMSpVOpts,
     dctx: &DistCtx,
-) -> Result<(DistSparseVec<usize>, SimReport)> {
-    check_dims("x capacity vs matrix rows", a.nrows(), x.capacity())?;
-    // Resolve `auto` (and any `GBLAS_MERGE` override) once from the
-    // *global* nnz so every locale runs the same strategy.
-    let opts = opts.resolved(x.nnz());
+) -> Result<(Vec<DistSparseVec<C>>, SimReport)>
+where
+    T: Copy + Send + Sync,
+    V: Copy + Send + Sync + 'static,
+    C: Copy + Send + Sync + 'static,
+    K: Accumulate<T, V, C>,
+{
+    check_operands(a, xs, masks, dctx)?;
+    let k = xs.len();
+    let nnz: usize = xs.iter().map(|x| x.nnz()).sum();
+    let opts = opts.resolved(nnz);
     let grid = a.grid();
     let p = grid.locales();
-    if x.locales() != p {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("{p} locales"),
-            actual: format!("{} locales", x.locales()),
-        });
-    }
-    if dctx.locales() != p {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("machine with {p} locales"),
-            actual: format!("machine with {} locales", dctx.locales()),
-        });
-    }
     let n = a.ncols();
-    if let Some(m) = &mask {
-        check_dims("mask length vs matrix cols", n, m.bits.len())?;
-        if m.bits.locales() != p {
-            return Err(GblasError::DimensionMismatch {
-                expected: format!("mask over {p} locales"),
-                actual: format!("mask over {} locales", m.bits.locales()),
-            });
-        }
-    }
-    let elem_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<V>()) as u64;
-    // A scatter claim carries the destination offset and the parent row id
-    // (the byte count used to be a hardcoded `16`, silently wrong for any
-    // other payload — computed from the actual pair width now).
-    let claim_bytes = (2 * std::mem::size_of::<usize>()) as u64;
+    let word = std::mem::size_of::<usize>();
+    let elem_bytes = (word + std::mem::size_of::<V>()) as u64;
+    // A claim carries the destination offset and the output value, plus
+    // the source slot when there is more than one.
+    let claim_bytes = (word + std::mem::size_of::<C>() + if k > 1 { word } else { 0 }) as u64;
 
     // ---- Inspect or replay the gather schedule (driver thread, before
-    // any superstep). Keyed on the matrix generation: a rebuilt or
-    // mutated matrix invalidates and re-inspects.
+    // any superstep). Keyed on the matrix generation — a rebuilt or
+    // mutated matrix invalidates and re-inspects — and not on `k` or the
+    // accumulation, so every SpMSpV over one matrix replays one plan.
     let (plan, sched) = dctx.schedule(
         "gather_rows",
         FrontierClass::Sparse,
@@ -343,115 +404,129 @@ pub fn spmspv_dist_with<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
         || PlanData::Gather(GatherPlan::build(grid, |l| a.row_range(l))),
     );
 
-    // ---- Gather supersteps: one element-wise superstep (Fine) or the
-    // aggregated request/reply protocol (Bulk) — see [`gather_row_blocks`].
-    // All comm is logged by the task whose id is the event's source
-    // locale, so the log's per-source order is deterministic under the
-    // threaded executor.
-    let (gather_profiles, lxs) =
-        gather_row_blocks(grid, plan.gather(), x, strategy, elem_bytes, dctx)?;
+    // ---- Gather superstep. All comm is logged by the task whose id is
+    // the event's source locale, so the log's per-source order is
+    // deterministic under the threaded executor.
+    let (gather_profiles, lxs) = gather_row_blocks(plan.gather(), xs, strategy, elem_bytes, dctx)?;
 
-    // ---- Local multiply superstep, one task per locale (local coords).
-    let mut local_profiles: Vec<Profile> = Vec::with_capacity(p);
-    // Per-locale local results in *global* coordinates: (col, parent row).
-    let mut local_results: Vec<Vec<(usize, usize)>> = Vec::with_capacity(p);
-    for (local, result) in dctx.for_each_locale(|l| {
-        let row_range = a.row_range(l);
-        let col_range = a.col_range(l);
-        // Attach locale `l`'s long-lived pool so the local kernel's SPA is
-        // reused across BFS levels instead of reallocated per call.
-        let lctx = dctx.locale_ctx_for(l);
-        let ly = if row_range.is_empty() || col_range.is_empty() {
-            SparseVec::new(col_range.len().max(1))
-        } else {
-            spmspv_first_visitor(a.block(l), &lxs[l], None, opts, &lctx)?
-        };
-        let result: Vec<(usize, usize)> =
-            ly.iter().map(|(lj, &lrid)| (lj + col_range.start, lrid + row_range.start)).collect();
-        Ok((lctx.take_profile(), result))
-    })? {
-        local_profiles.push(local);
-        local_results.push(result);
-    }
-
-    // ---- Superstep 2 (scatter, send side): each source locale partitions
-    // its claims into one outbox per owning locale and logs its own
-    // scatter traffic.
-    let out_dist = crate::grid::BlockDist::new(n, p);
-    let (send_profiles, outboxes): (Vec<Profile>, PooledOutboxes<(usize, usize)>) = dctx
+    // ---- Local multiply superstep: the shared kernel once per source,
+    // on locale `l`'s block, attached to its long-lived pool so the SPA is
+    // reused across BFS levels instead of reallocated per call.
+    let (local_profiles, local_results): (Vec<Profile>, Vec<_>) = dctx
         .for_each_locale(|l| {
-            let sctx = dctx.locale_ctx_for(l);
-            let mut c = gblas_core::par::Counters::default();
-            // outbox[owner] = (segment offset, parent row) claims. Both the
-            // per-destination buffers and the fan-out histogram come from
-            // the locale pool and are reused superstep after superstep.
-            let mut outbox = sctx.ws_nested_vec::<(usize, usize)>(p);
-            let mut per_dst = sctx.ws_filled_vec::<u64>(p, 0);
-            for &(col, rid) in &local_results[l] {
+            let row_range = a.row_range(l);
+            let col_range = a.col_range(l);
+            let lctx = dctx.locale_ctx_for(l);
+            let per_source = lxs[l]
+                .iter()
+                .map(|lx| {
+                    if row_range.is_empty() || col_range.is_empty() {
+                        Ok(Vec::new())
+                    } else {
+                        let origin = (row_range.start, col_range.start);
+                        accum.local(a.block(l), lx, origin, opts, &lctx)
+                    }
+                })
+                .collect::<Result<Vec<_>>>()?;
+            Ok((lctx.take_profile(), per_source))
+        })?
+        .into_iter()
+        .unzip();
+
+    // ---- Scatter, send side: each source locale partitions its claims
+    // into one outbox per owning locale — slot by slot, so each outbox
+    // holds ascending-slot runs — and logs its own scatter traffic. Both
+    // the per-destination buffers and the fan-out histogram come from the
+    // locale pool and are reused superstep after superstep.
+    let out_dist = BlockDist::new(n, p);
+    let mut send_profiles: Vec<Profile> = Vec::with_capacity(p);
+    let mut outboxes: PooledOutboxes<(usize, C)> = Vec::with_capacity(p);
+    // run_ends[l][s * p + o]: where slot s's claims end in l's outbox[o].
+    let mut run_ends: Vec<Vec<usize>> = Vec::with_capacity(p);
+    for (profile, outbox, ends) in dctx.for_each_locale(|l| {
+        let sctx = dctx.locale_ctx_for(l);
+        let mut c = Counters::default();
+        let mut outbox = sctx.ws_nested_vec::<(usize, C)>(p);
+        let mut per_dst = sctx.ws_filled_vec::<u64>(p, 0);
+        let mut ends = Vec::with_capacity(k * p);
+        for claims in &local_results[l] {
+            for &(col, v) in claims {
                 let owner = out_dist.owner(col);
                 if owner != l {
                     per_dst[owner] += 1;
                 }
                 c.atomics += 1; // the remote/local atomic test-and-set
-                outbox[owner].push((col - out_dist.range(owner).start, rid));
+                outbox[owner].push((col - out_dist.range(owner).start, v));
             }
-            for (dst, msgs) in per_dst.iter().enumerate() {
-                if *msgs > 0 {
-                    match strategy {
-                        CommStrategy::Fine => {
-                            dctx.comm.fine(PHASE_SCATTER, l, dst, *msgs, *msgs * claim_bytes)?
-                        }
-                        CommStrategy::Bulk => {
-                            dctx.comm.bulk(PHASE_SCATTER, l, dst, 1, *msgs * claim_bytes)?
-                        }
+            ends.extend(outbox.iter().map(Vec::len));
+        }
+        for (dst, &msgs) in per_dst.iter().enumerate() {
+            if msgs > 0 {
+                match strategy {
+                    CommStrategy::Fine => {
+                        dctx.comm.fine(PHASE_SCATTER, l, dst, msgs, msgs * claim_bytes)?
+                    }
+                    CommStrategy::Bulk => {
+                        dctx.comm.bulk(PHASE_SCATTER, l, dst, 1, msgs * claim_bytes)?
                     }
                 }
             }
-            sctx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((sctx.take_profile(), outbox))
-        })?
-        .into_iter()
-        .unzip();
+        }
+        sctx.record(PHASE_SCATTER, |pc| pc.merge(&c));
+        Ok((sctx.take_profile(), outbox, ends))
+    })? {
+        send_profiles.push(profile);
+        outboxes.push(outbox);
+        run_ends.push(ends);
+    }
 
-    // ---- Superstep 3 (scatter, owner side): each owner drains its
-    // inboxes into its *own* dense SPA segment — no cross-locale writes —
-    // in source-locale order, so first-writer-wins resolves exactly as the
-    // serial schedule does. The mask bit lives with the output entry (§V
-    // future work), so the check happens here, at the owner. Finishes with
-    // the owner's denseToSparse scan.
-    let (apply_profiles, shards): (Vec<Profile>, Vec<SparseVec<usize>>) = dctx
+    // ---- Scatter, owner side: per slot, each owner drains its inboxes'
+    // slot runs into its *own* dense SPA segment — no cross-locale writes
+    // — in ascending sender order, so first-writer-wins and the
+    // floating-point accumulation order resolve exactly as the serial
+    // schedule does. The mask bit lives with the output entry (§V future
+    // work), so the check happens here, at the owner. Each slot finishes
+    // with the owner's denseToSparse scan.
+    let (apply_profiles, owner_shards): (Vec<Profile>, Vec<Vec<SparseVec<C>>>) = dctx
         .for_each_locale(|o| {
             let octx = dctx.locale_ctx_for(o);
             let range = out_dist.range(o);
-            let mut isthere = octx.ws_filled_vec::<bool>(range.len(), false);
-            let mut value = octx.ws_filled_vec::<usize>(range.len(), 0);
-            let mut c = gblas_core::par::Counters::default();
-            for outbox in &outboxes {
-                for &(off, rid) in &outbox[o] {
-                    if let Some(m) = &mask {
-                        c.rand_access += 1;
-                        let set = m.bits.segment(o)[off];
-                        if set == m.complement {
-                            continue;
+            let mut c = Counters::default();
+            let mut shards = Vec::with_capacity(k);
+            for s in 0..k {
+                let mut occupied = octx.ws_filled_vec::<bool>(range.len(), false);
+                let mut value = octx.ws_filled_vec::<C>(range.len(), accum.zero());
+                let mask = masks.map(|m| (m[s].bits.segment(o), m[s].complement));
+                for (outbox, ends) in outboxes.iter().zip(&run_ends) {
+                    let start = if s == 0 { 0 } else { ends[(s - 1) * p + o] };
+                    for &(off, v) in &outbox[o][start..ends[s * p + o]] {
+                        if let Some((bits, complement)) = mask {
+                            c.rand_access += 1;
+                            if bits[off] == complement {
+                                continue;
+                            }
+                        }
+                        if occupied[off] {
+                            accum.merge(&mut value[off], v, &mut c);
+                        } else {
+                            occupied[off] = true;
+                            value[off] = v;
                         }
                     }
-                    if !isthere[off] {
-                        isthere[off] = true;
-                        value[off] = rid;
+                }
+                let mut inds = Vec::new();
+                let mut vals = Vec::new();
+                for (off, &set) in occupied.iter().enumerate() {
+                    if set {
+                        inds.push(range.start + off);
+                        vals.push(value[off]);
                     }
                 }
+                c.elems += range.len() as u64;
+                shards.push(SparseVec::from_sorted(n, inds, vals)?);
             }
-            let mut inds = Vec::new();
-            let mut vals = Vec::new();
-            for (off, &set) in isthere.iter().enumerate() {
-                if set {
-                    inds.push(range.start + off);
-                    vals.push(value[off]);
-                }
-            }
-            c.elems += range.len() as u64;
             octx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((octx.take_profile(), SparseVec::from_sorted(n, inds, vals)?))
+            Ok((octx.take_profile(), shards))
         })?
         .into_iter()
         .unzip();
@@ -463,24 +538,33 @@ pub fn spmspv_dist_with<T: Copy + Send + Sync, V: Copy + Send + Sync + 'static>(
             scatter_profiles[l].counters_mut(name).merge(cs);
         }
     }
-    let y = DistSparseVec::from_shards(n, shards)?;
+    let mut per_slot: Vec<Vec<SparseVec<C>>> = (0..k).map(|_| Vec::with_capacity(p)).collect();
+    for shards in owner_shards {
+        for (slot, shard) in per_slot.iter_mut().zip(shards) {
+            slot.push(shard);
+        }
+    }
+    let ys = per_slot
+        .into_iter()
+        .map(|shards| DistSparseVec::from_shards(n, shards))
+        .collect::<Result<Vec<_>>>()?;
 
     // ---- Assemble the report (and, when tracing, the span tree).
-    let mut op = dctx.op("spmspv_dist");
-    op.attr("strategy", strategy_name(strategy))
-        .attr("merge", opts.merge.name())
-        .attr("nrows", a.nrows())
-        .attr("ncols", n)
-        .attr("masked", mask.is_some())
-        .sched(sched)
-        .nnz(x.nnz() as u64);
-    // Fine fuses the gather in one superstep; the aggregated protocol
-    // spawns three (request / reply / assemble).
-    op.spawn(PHASE_GATHER, if strategy == CommStrategy::Bulk { 3 } else { 1 });
+    let mut op = dctx.op(if k == 1 { K::OP } else { K::BATCH_OP });
+    op.attr("strategy", strategy_name(strategy)).attr("merge", opts.merge.name());
+    if k != 1 {
+        op.attr("k", k);
+    }
+    op.attr("nrows", a.nrows()).attr("ncols", n);
+    if masks.is_some() {
+        op.attr("masked", true);
+    }
+    op.sched(sched).nnz(nnz as u64);
+    op.spawn(PHASE_GATHER, 1);
     op.compute(PHASE_GATHER, &gather_profiles);
     op.compute_folded(PHASE_LOCAL, &local_profiles);
     op.compute(PHASE_SCATTER, &scatter_profiles);
-    Ok((y, op.finish()))
+    Ok((ys, op.finish()))
 }
 
 fn strategy_name(strategy: CommStrategy) -> &'static str {
@@ -490,235 +574,16 @@ fn strategy_name(strategy: CommStrategy) -> &'static str {
     }
 }
 
-/// General-semiring distributed SpMSpV: `y[j] = ⊕_i x[i] ⊗ A[i,j]` with
-/// true accumulation — contributions from different grid rows to the same
-/// output column are combined with the add monoid *at the owning locale*
-/// (the scatter carries values, and the owner accumulates instead of
-/// first-writer-wins). Same three components as [`spmspv_dist`].
-///
-/// This is what distributed SSSP needs (min-plus), and together with the
-/// masked first-visitor kernel it completes the distributed SpMSpV
-/// family.
-pub fn spmspv_dist_semiring<A, B, C, AddM, MulOp>(
-    a: &DistCsrMatrix<B>,
-    x: &DistSparseVec<A>,
-    ring: &gblas_core::algebra::Semiring<AddM, MulOp>,
-    strategy: CommStrategy,
-    dctx: &DistCtx,
-) -> Result<(DistSparseVec<C>, SimReport)>
-where
-    A: Copy + Send + Sync + 'static,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + PartialEq + 'static,
-    AddM: gblas_core::algebra::Monoid<C>,
-    MulOp: gblas_core::algebra::BinaryOp<A, B, C>,
-{
-    spmspv_dist_semiring_with(a, x, ring, None, strategy, SpMSpVOpts::default(), dctx)
-}
-
-/// [`spmspv_dist_semiring`] with explicit local-kernel options (merge
-/// strategy, sort algorithm) and an optional output mask, enforced
-/// owner-side exactly like the first-visitor kernel's: the claim still
-/// pays its scatter message, then the owning locale's mask bit decides
-/// whether the value accumulates.
-pub fn spmspv_dist_semiring_with<A, B, C, AddM, MulOp>(
-    a: &DistCsrMatrix<B>,
-    x: &DistSparseVec<A>,
-    ring: &gblas_core::algebra::Semiring<AddM, MulOp>,
-    mask: Option<DistMask<'_>>,
-    strategy: CommStrategy,
-    opts: SpMSpVOpts,
-    dctx: &DistCtx,
-) -> Result<(DistSparseVec<C>, SimReport)>
-where
-    A: Copy + Send + Sync + 'static,
-    B: Copy + Send + Sync,
-    C: Copy + Send + Sync + PartialEq + 'static,
-    AddM: gblas_core::algebra::Monoid<C>,
-    MulOp: gblas_core::algebra::BinaryOp<A, B, C>,
-{
-    check_dims("x capacity vs matrix rows", a.nrows(), x.capacity())?;
-    // Same global resolution as [`spmspv_dist_with`]: one strategy,
-    // every locale.
-    let opts = opts.resolved(x.nnz());
-    let grid = a.grid();
-    let p = grid.locales();
-    if x.locales() != p || dctx.locales() != p {
-        return Err(GblasError::DimensionMismatch {
-            expected: format!("{p} locales"),
-            actual: format!("{} / {} locales", x.locales(), dctx.locales()),
-        });
-    }
-    let n = a.ncols();
-    if let Some(m) = &mask {
-        check_dims("mask length vs matrix cols", n, m.bits.len())?;
-        if m.bits.locales() != p {
-            return Err(GblasError::DimensionMismatch {
-                expected: format!("mask over {p} locales"),
-                actual: format!("mask over {} locales", m.bits.locales()),
-            });
-        }
-    }
-    let elem_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<A>()) as u64;
-    // A scatter claim carries the destination offset and an output value —
-    // computed from the actual types (this used to be a hardcoded `16`,
-    // which over-billed small `C` and under-billed large `C`).
-    let claim_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<C>()) as u64;
-
-    // ---- Inspect or replay the gather schedule — the pattern is shared
-    // with the first-visitor kernel (same key), so a BFS level and an
-    // SSSP relaxation over the same matrix replay one plan.
-    let (plan, sched) = dctx.schedule(
-        "gather_rows",
-        FrontierClass::Sparse,
-        (grid.pr(), grid.pc()),
-        a.generation(),
-        0,
-        || PlanData::Gather(GatherPlan::build(grid, |l| a.row_range(l))),
-    );
-
-    // ---- Gather supersteps (shared with the first-visitor kernel):
-    // element-wise (Fine) or the aggregated request/reply protocol (Bulk).
-    let (gather_profiles, lxs) =
-        gather_row_blocks(grid, plan.gather(), x, strategy, elem_bytes, dctx)?;
-
-    // ---- Local semiring multiply superstep.
-    let mut local_profiles: Vec<Profile> = Vec::with_capacity(p);
-    let mut local_results: Vec<Vec<(usize, C)>> = Vec::with_capacity(p);
-    for (local, result) in dctx.for_each_locale(|l| {
-        let row_range = a.row_range(l);
-        let col_range = a.col_range(l);
-        let lctx = dctx.locale_ctx_for(l);
-        let ly = if row_range.is_empty() || col_range.is_empty() {
-            SparseVec::new(col_range.len().max(1))
-        } else {
-            gblas_core::ops::spmspv::spmspv_semiring_masked(
-                a.block(l),
-                &lxs[l],
-                ring,
-                None,
-                opts,
-                &lctx,
-            )?
-            .vector
-        };
-        let result: Vec<(usize, C)> = ly.iter().map(|(lj, &v)| (lj + col_range.start, v)).collect();
-        Ok((lctx.take_profile(), result))
-    })? {
-        local_profiles.push(local);
-        local_results.push(result);
-    }
-
-    // ---- Superstep 2 (scatter, send side): per-owner outboxes + each
-    // source's own comm log entries.
-    let out_dist = crate::grid::BlockDist::new(n, p);
-    let (send_profiles, outboxes): (Vec<Profile>, PooledOutboxes<(usize, C)>) = dctx
-        .for_each_locale(|l| {
-            let sctx = dctx.locale_ctx_for(l);
-            let mut c = gblas_core::par::Counters::default();
-            let mut outbox = sctx.ws_nested_vec::<(usize, C)>(p);
-            let mut per_dst = sctx.ws_filled_vec::<u64>(p, 0);
-            for &(col, v) in &local_results[l] {
-                let owner = out_dist.owner(col);
-                if owner != l {
-                    per_dst[owner] += 1;
-                }
-                c.atomics += 1;
-                outbox[owner].push((col - out_dist.range(owner).start, v));
-            }
-            for (dst, msgs) in per_dst.iter().enumerate() {
-                if *msgs > 0 {
-                    match strategy {
-                        CommStrategy::Fine => {
-                            dctx.comm.fine(PHASE_SCATTER, l, dst, *msgs, *msgs * claim_bytes)?
-                        }
-                        CommStrategy::Bulk => {
-                            dctx.comm.bulk(PHASE_SCATTER, l, dst, 1, *msgs * claim_bytes)?
-                        }
-                    }
-                }
-            }
-            sctx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((sctx.take_profile(), outbox))
-        })?
-        .into_iter()
-        .unzip();
-
-    // ---- Superstep 3 (scatter, owner side): accumulate into the owner's
-    // own dense segment with the add monoid, draining inboxes in
-    // source-locale order so the floating-point accumulation order is
-    // exactly the serial schedule's.
-    let (apply_profiles, shards): (Vec<Profile>, Vec<SparseVec<C>>) = dctx
-        .for_each_locale(|o| {
-            let octx = dctx.locale_ctx_for(o);
-            let range = out_dist.range(o);
-            let mut occupied = octx.ws_filled_vec::<bool>(range.len(), false);
-            let mut value = octx.ws_filled_vec::<C>(range.len(), ring.zero::<C>());
-            let mut c = gblas_core::par::Counters::default();
-            for outbox in &outboxes {
-                for &(off, v) in &outbox[o] {
-                    if let Some(m) = &mask {
-                        c.rand_access += 1;
-                        let set = m.bits.segment(o)[off];
-                        if set == m.complement {
-                            continue;
-                        }
-                    }
-                    if occupied[off] {
-                        value[off] = ring.accumulate(value[off], v);
-                        c.flops += 1;
-                    } else {
-                        occupied[off] = true;
-                        value[off] = v;
-                    }
-                }
-            }
-            let mut inds = Vec::new();
-            let mut vals = Vec::new();
-            for (off, &set) in occupied.iter().enumerate() {
-                if set {
-                    inds.push(range.start + off);
-                    vals.push(value[off]);
-                }
-            }
-            c.elems += range.len() as u64;
-            octx.record(PHASE_SCATTER, |pc| pc.merge(&c));
-            Ok((octx.take_profile(), SparseVec::from_sorted(n, inds, vals)?))
-        })?
-        .into_iter()
-        .unzip();
-    let mut scatter_profiles = send_profiles;
-    for (l, apply) in apply_profiles.iter().enumerate() {
-        for (name, cs) in apply.iter() {
-            scatter_profiles[l].counters_mut(name).merge(cs);
-        }
-    }
-    let y = DistSparseVec::from_shards(n, shards)?;
-
-    let mut op = dctx.op("spmspv_dist_semiring");
-    op.attr("strategy", strategy_name(strategy))
-        .attr("merge", opts.merge.name())
-        .attr("nrows", a.nrows())
-        .attr("ncols", n)
-        .sched(sched)
-        .nnz(x.nnz() as u64);
-    // Only stamp the attr for masked runs so unmasked traces (and their
-    // golden files) are byte-identical to the pre-mask kernel.
-    if mask.is_some() {
-        op.attr("masked", true);
-    }
-    op.spawn(PHASE_GATHER, if strategy == CommStrategy::Bulk { 3 } else { 1 });
-    op.compute(PHASE_GATHER, &gather_profiles);
-    op.compute_folded(PHASE_LOCAL, &local_profiles);
-    op.compute(PHASE_SCATTER, &scatter_profiles);
-    Ok((y, op.finish()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::ProcGrid;
+    use crate::ops::expand::DistFrontier;
+    use crate::vec::DistDenseVec;
+    use gblas_core::algebra::semirings;
+    use gblas_core::container::DenseVec;
     use gblas_core::gen;
+    use gblas_core::ops::spmspv::{MergeStrategy, AUTO_BUCKET_MIN_NNZ};
     use gblas_sim::MachineConfig;
 
     fn machine_for(grid: ProcGrid) -> MachineConfig {
@@ -732,6 +597,32 @@ mod tests {
     ) -> SparseVec<usize> {
         let ctx = gblas_core::par::ExecCtx::serial();
         spmspv_first_visitor(a, x, None, SpMSpVOpts::default(), &ctx).unwrap()
+    }
+
+    /// The engine's `k = 1` batch with default local options.
+    fn one<T, V, C, K>(
+        a: &DistCsrMatrix<T>,
+        x: &DistSparseVec<V>,
+        mask: Option<DistMask<'_>>,
+        accum: &K,
+        strategy: CommStrategy,
+        dctx: &DistCtx,
+    ) -> Result<(DistSparseVec<C>, SimReport)>
+    where
+        T: Copy + Send + Sync,
+        V: Copy + Send + Sync + 'static,
+        C: Copy + Send + Sync + 'static,
+        K: Accumulate<T, V, C>,
+    {
+        let masks = mask.as_ref().map(std::slice::from_ref);
+        let xs = std::slice::from_ref(x);
+        let (mut ys, r) =
+            spmspv_dist_batch(a, xs, masks, accum, strategy, SpMSpVOpts::default(), dctx)?;
+        Ok((ys.pop().unwrap(), r))
+    }
+
+    fn gather_msgs(dctx: &DistCtx) -> u64 {
+        dctx.comm.history().iter().filter(|e| e.phase == PHASE_GATHER).map(|e| e.msgs).sum()
     }
 
     #[test]
@@ -774,20 +665,13 @@ mod tests {
         assert_eq!(y_fine.to_global().indices(), y_bulk.to_global().indices());
         let (fine_msgs, _, _) = d_fine.comm.totals();
         let (_, bulk_msgs, _) = d_bulk.comm.totals();
-        // The aggregated protocol spends one request and one reply per
-        // locale pair, so the ratio is bounded by nnz/locality rather
-        // than the old fused gather's single message per pair.
         assert!(fine_msgs > 5 * bulk_msgs, "{fine_msgs} fine vs {bulk_msgs} bulk");
         // Aggregation guarantee: each locale sends at most one gather
-        // message per remote row peer per superstep (request + reply).
+        // message per remote row peer, in one superstep.
         let p = grid.locales();
         let peers = grid.pc() - 1;
-        let gather_msgs: u64 =
-            d_bulk.comm.history().iter().filter(|e| e.phase == PHASE_GATHER).map(|e| e.msgs).sum();
-        assert!(
-            gather_msgs <= (2 * p * peers) as u64,
-            "{gather_msgs} gather msgs > 2 supersteps x {p} locales x {peers} peers"
-        );
+        let gather = gather_msgs(&d_bulk);
+        assert!(gather <= (p * peers) as u64, "{gather} gather msgs > {p} locales x {peers} peers");
         // and the simulated comm time reflects it
         let fine_comm = r_fine.phase(PHASE_GATHER) + r_fine.phase(PHASE_SCATTER);
         let bulk_comm = r_bulk.phase(PHASE_GATHER) + r_bulk.phase(PHASE_SCATTER);
@@ -850,7 +734,7 @@ mod tests {
         let n = 500;
         let a = gen::erdos_renyi(n, 6, 145);
         let x = gen::random_sparse_vec(n, 35, 146);
-        let ring = gblas_core::algebra::semirings::plus_times_f64();
+        let ring = semirings::plus_times_f64();
         let expect = gblas_core::ops::spmspv::spmspv_semiring(
             &a,
             &x,
@@ -866,7 +750,8 @@ mod tests {
             let dx = DistSparseVec::from_global(&x, p);
             for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
                 let dctx = DistCtx::new(machine_for(grid));
-                let (y, report) = spmspv_dist_semiring(&da, &dx, &ring, strategy, &dctx).unwrap();
+                let (y, report): (DistSparseVec<f64>, _) =
+                    one(&da, &dx, None, &ring, strategy, &dctx).unwrap();
                 let yg = y.to_global();
                 assert_eq!(yg.indices(), expect.indices(), "grid {pr}x{pc} {strategy:?}");
                 for (got, want) in yg.values().iter().zip(expect.values()) {
@@ -887,12 +772,13 @@ mod tests {
         )
         .unwrap();
         let x = SparseVec::from_sorted(6, vec![0, 1], vec![0.0, 2.0]).unwrap();
-        let ring = gblas_core::algebra::semirings::min_plus();
+        let ring = semirings::min_plus();
         let grid = ProcGrid::new(2, 3);
         let da = DistCsrMatrix::from_global(&a, grid);
         let dx = DistSparseVec::from_global(&x, 6);
         let dctx = DistCtx::new(machine_for(grid));
-        let (y, _) = spmspv_dist_semiring(&da, &dx, &ring, CommStrategy::Bulk, &dctx).unwrap();
+        let (y, _): (DistSparseVec<f64>, _) =
+            one(&da, &dx, None, &ring, CommStrategy::Bulk, &dctx).unwrap();
         let yg = y.to_global();
         // y[1] = 0+2 = 2; y[2] = min(0+10, 2+3) = 5
         assert_eq!(yg.indices(), &[1, 2]);
@@ -901,12 +787,11 @@ mod tests {
 
     #[test]
     fn masked_spmspv_excludes_and_matches_shared_mask() {
-        use crate::vec::DistDenseVec;
         let n = 400;
         let a = gen::erdos_renyi(n, 6, 125);
         let x = gen::random_sparse_vec(n, 30, 126);
         // mask: allow only columns not divisible by 3
-        let bits = gblas_core::container::DenseVec::from_fn(n, |i| i % 3 == 0);
+        let bits = DenseVec::from_fn(n, |i| i % 3 == 0);
         // shared-memory reference with the complemented mask
         let shared_mask = gblas_core::mask::VecMask::dense(&bits).complement();
         let expect = spmspv_first_visitor(
@@ -924,8 +809,9 @@ mod tests {
             let dx = DistSparseVec::from_global(&x, p);
             let dbits = DistDenseVec::from_global(&bits, p);
             let dctx = DistCtx::new(machine_for(grid));
+            let mask = Some(DistMask::complement(&dbits));
             let (y, report) =
-                spmspv_dist_masked(&da, &dx, DistMask::complement(&dbits), &dctx).unwrap();
+                one(&da, &dx, mask, &FirstVisitor, CommStrategy::Fine, &dctx).unwrap();
             let yg = y.to_global();
             assert_eq!(yg.indices(), expect.indices(), "grid {pr}x{pc}");
             assert!(yg.indices().iter().all(|&j| j % 3 != 0));
@@ -935,12 +821,11 @@ mod tests {
 
     #[test]
     fn masked_semiring_matches_shared_masked_semiring() {
-        use crate::vec::DistDenseVec;
         let n = 400;
         let a = gen::erdos_renyi(n, 6, 155);
         let x = gen::random_sparse_vec(n, 30, 156);
-        let ring = gblas_core::algebra::semirings::plus_times_f64();
-        let bits = gblas_core::container::DenseVec::from_fn(n, |i| i % 3 == 0);
+        let ring = semirings::plus_times_f64();
+        let bits = DenseVec::from_fn(n, |i| i % 3 == 0);
         let shared_mask = gblas_core::mask::VecMask::dense(&bits).complement();
         let expect = gblas_core::ops::spmspv::spmspv_semiring_masked(
             &a,
@@ -960,16 +845,9 @@ mod tests {
             let dbits = DistDenseVec::from_global(&bits, p);
             for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
                 let dctx = DistCtx::new(machine_for(grid));
-                let (y, report) = spmspv_dist_semiring_with(
-                    &da,
-                    &dx,
-                    &ring,
-                    Some(DistMask::complement(&dbits)),
-                    strategy,
-                    SpMSpVOpts::default(),
-                    &dctx,
-                )
-                .unwrap();
+                let mask = Some(DistMask::complement(&dbits));
+                let (y, report): (DistSparseVec<f64>, _) =
+                    one(&da, &dx, mask, &ring, strategy, &dctx).unwrap();
                 let yg = y.to_global();
                 assert_eq!(yg.indices(), expect.indices(), "grid {pr}x{pc} {strategy:?}");
                 assert!(yg.indices().iter().all(|&j| j % 3 != 0));
@@ -983,19 +861,19 @@ mod tests {
 
     #[test]
     fn masked_spmspv_validates_mask_shape() {
-        use crate::vec::DistDenseVec;
         let a = gen::erdos_renyi(100, 4, 135);
         let x = gen::random_sparse_vec(100, 10, 136);
         let grid = ProcGrid::new(2, 2);
         let da = DistCsrMatrix::from_global(&a, grid);
         let dx = DistSparseVec::from_global(&x, 4);
         let dctx = DistCtx::new(machine_for(grid));
+        let run = |bits: &DistDenseVec<bool>| {
+            one(&da, &dx, Some(DistMask::new(bits)), &FirstVisitor, CommStrategy::Fine, &dctx)
+        };
         // wrong length
-        let short = DistDenseVec::filled(99, true, 4);
-        assert!(spmspv_dist_masked(&da, &dx, DistMask::new(&short), &dctx).is_err());
+        assert!(run(&DistDenseVec::filled(99, true, 4)).is_err());
         // wrong locale count
-        let wrong_p = DistDenseVec::filled(100, true, 2);
-        assert!(spmspv_dist_masked(&da, &dx, DistMask::new(&wrong_p), &dctx).is_err());
+        assert!(run(&DistDenseVec::filled(100, true, 2)).is_err());
     }
 
     #[test]
@@ -1033,5 +911,188 @@ mod tests {
         let x = DistSparseVec::<f64>::empty(100, 4);
         let (y, _) = spmspv_dist(&DistCsrMatrix::from_global(&a, grid), &x, &dctx).unwrap();
         assert_eq!(y.nnz(), 0);
+    }
+
+    #[test]
+    fn batched_rows_match_single_source_dist_runs() {
+        let n = 400;
+        let a = gen::erdos_renyi(n, 6, 211);
+        let sources = [0usize, 7, 7, 390];
+        for (pr, pc) in [(1, 1), (2, 2), (2, 3)] {
+            let grid = ProcGrid::new(pr, pc);
+            let p = grid.locales();
+            let da = DistCsrMatrix::from_global(&a, grid);
+            let f =
+                DistFrontier::from_entries(n, sources.iter().map(|&s| vec![(s, s)]).collect(), p)
+                    .unwrap();
+            let visited: Vec<DistDenseVec<bool>> = sources
+                .iter()
+                .map(|&s| DistDenseVec::from_global(&DenseVec::from_fn(n, |i| i == s), p))
+                .collect();
+            let masks: Vec<DistMask> = visited.iter().map(DistMask::complement).collect();
+            for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
+                let dctx = DistCtx::new(machine_for(grid));
+                let opts = SpMSpVOpts::default();
+                let (batched, report) = spmspv_dist_batch(
+                    &da,
+                    f.rows(),
+                    Some(&masks),
+                    &FirstVisitor,
+                    strategy,
+                    opts,
+                    &dctx,
+                )
+                .unwrap();
+                assert!(report.total() > 0.0);
+                for (s, x) in f.rows().iter().enumerate() {
+                    let sctx = DistCtx::new(machine_for(grid));
+                    let (single, _) =
+                        one(&da, x, Some(masks[s]), &FirstVisitor, strategy, &sctx).unwrap();
+                    assert_eq!(
+                        batched[s].to_global(),
+                        single.to_global(),
+                        "grid {pr}x{pc} {strategy:?} slot {s}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_gather_pays_one_message_per_pair() {
+        let n = 600;
+        let a = gen::erdos_renyi(n, 6, 221);
+        let grid = ProcGrid::new(2, 4);
+        let p = grid.locales();
+        let da = DistCsrMatrix::from_global(&a, grid);
+        let k = 8;
+        let f = DistFrontier::from_entries(n, (0..k).map(|s| vec![(s * 50, s * 50)]).collect(), p)
+            .unwrap();
+        let dctx = DistCtx::new(machine_for(grid));
+        dctx.comm.record_history();
+        let opts = SpMSpVOpts::default();
+        spmspv_dist_batch(&da, f.rows(), None, &FirstVisitor, CommStrategy::Bulk, opts, &dctx)
+            .unwrap();
+        // one fused message per (locale, remote row peer) pair, at most
+        let peers = grid.pc() - 1;
+        let gather = gather_msgs(&dctx);
+        assert!(
+            gather <= (p * peers) as u64,
+            "{gather} gather msgs for {p} locales x {peers} peers"
+        );
+    }
+
+    #[test]
+    fn batched_semiring_rows_match_single_source_dist_runs() {
+        let n = 300;
+        let a = gen::erdos_renyi(n, 5, 231);
+        let ring = semirings::min_plus();
+        for (pr, pc) in [(1, 1), (2, 2)] {
+            let grid = ProcGrid::new(pr, pc);
+            let p = grid.locales();
+            let da = DistCsrMatrix::from_global(&a, grid);
+            let f =
+                DistFrontier::from_entries(n, vec![vec![(0, 0.0)], vec![(100, 0.0)]], p).unwrap();
+            let dctx = DistCtx::new(machine_for(grid));
+            let opts = SpMSpVOpts::default();
+            let (batched, _): (Vec<DistSparseVec<f64>>, _) =
+                spmspv_dist_batch(&da, f.rows(), None, &ring, CommStrategy::Bulk, opts, &dctx)
+                    .unwrap();
+            for (s, x) in f.rows().iter().enumerate() {
+                let sctx = DistCtx::new(machine_for(grid));
+                let (single, _): (DistSparseVec<f64>, _) =
+                    one(&da, x, None, &ring, CommStrategy::Bulk, &sctx).unwrap();
+                assert_eq!(batched[s].to_global(), single.to_global(), "grid {pr}x{pc} slot {s}");
+            }
+        }
+    }
+
+    /// `MergeStrategy::Auto` resolves once per call from the batch's
+    /// global nnz: one source above the threshold switches the whole
+    /// batch to the bucketed merge — one `merge` attr, no sort work on any
+    /// locale or slot — and every slot still equals its solo run.
+    #[test]
+    fn batched_auto_merge_resolves_once_from_the_batch_nnz() {
+        let n = 2 * AUTO_BUCKET_MIN_NNZ;
+        let a = gen::erdos_renyi(n, 3, 271);
+        let grid = ProcGrid::new(2, 2);
+        let p = grid.locales();
+        let da = DistCsrMatrix::from_global(&a, grid);
+        let big = gen::random_sparse_vec(n, AUTO_BUCKET_MIN_NNZ + 100, 272);
+        let rows = vec![
+            DistSparseVec::from_global(&big, p),
+            DistSparseVec::from_global(&SparseVec::from_sorted(n, vec![5], vec![1.0]).unwrap(), p),
+        ];
+        let auto = SpMSpVOpts::with_merge(MergeStrategy::Auto);
+        let mut dctx = DistCtx::new(machine_for(grid));
+        let recorder = dctx.enable_tracing();
+        let (batched, _) =
+            spmspv_dist_batch(&da, &rows, None, &FirstVisitor, CommStrategy::Bulk, auto, &dctx)
+                .unwrap();
+        let trace = recorder.snapshot();
+        let span = trace
+            .spans
+            .iter()
+            .find(|s| {
+                s.kind == gblas_core::trace::SpanKind::Op && s.name == "expand_dist_first_visitor"
+            })
+            .expect("batch op span");
+        let merges: Vec<&str> =
+            span.attrs.iter().filter(|(k, _)| k == "merge").map(|(_, v)| v.as_str()).collect();
+        assert_eq!(merges, ["bucket"]);
+        assert_eq!(span.counters.sort_elems, 0, "a slot or locale ran the sort merge");
+        for (s, x) in rows.iter().enumerate() {
+            let sctx = DistCtx::new(machine_for(grid));
+            let xs = std::slice::from_ref(x);
+            let (solo, _) =
+                spmspv_dist_batch(&da, xs, None, &FirstVisitor, CommStrategy::Bulk, auto, &sctx)
+                    .unwrap();
+            assert_eq!(batched[s].to_global(), solo[0].to_global(), "slot {s}");
+        }
+    }
+
+    #[test]
+    fn empty_batch_is_fine() {
+        let a = gen::erdos_renyi(100, 4, 251);
+        let grid = ProcGrid::new(2, 2);
+        let da = DistCsrMatrix::from_global(&a, grid);
+        let dctx = DistCtx::new(machine_for(grid));
+        let xs: [DistSparseVec<usize>; 0] = [];
+        let opts = SpMSpVOpts::default();
+        let (ys, _) =
+            spmspv_dist_batch(&da, &xs, Some(&[]), &FirstVisitor, CommStrategy::Bulk, opts, &dctx)
+                .unwrap();
+        assert!(ys.is_empty());
+    }
+
+    #[test]
+    fn batch_shape_validation() {
+        let a = gen::erdos_renyi(100, 4, 261);
+        let grid = ProcGrid::new(2, 2);
+        let da = DistCsrMatrix::from_global(&a, grid);
+        let dctx = DistCtx::new(machine_for(grid));
+        let bits = DistDenseVec::filled(100, false, 4);
+        let m = [DistMask::complement(&bits)];
+        let run = |f: &DistFrontier<usize>, masks: &[DistMask]| {
+            let opts = SpMSpVOpts::default();
+            spmspv_dist_batch(
+                &da,
+                f.rows(),
+                Some(masks),
+                &FirstVisitor,
+                CommStrategy::Bulk,
+                opts,
+                &dctx,
+            )
+        };
+        // wrong capacity
+        let f = DistFrontier::from_entries(99, vec![vec![(0, 0usize)]], 4).unwrap();
+        assert!(run(&f, &m).is_err());
+        // mask count mismatch
+        let f = DistFrontier::from_entries(100, vec![vec![(0, 0usize)]], 4).unwrap();
+        assert!(run(&f, &[]).is_err());
+        // wrong locale count
+        let f2 = DistFrontier::from_entries(100, vec![vec![(0, 0usize)]], 2).unwrap();
+        assert!(run(&f2, &m).is_err());
     }
 }

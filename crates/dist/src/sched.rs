@@ -3,8 +3,8 @@
 //! The iterative drivers (BFS, PageRank, SSSP, …) run the same
 //! distributed kernels over the same matrix dozens of times, and every
 //! iteration used to re-derive the same remote-access pattern: which grid
-//! peers a locale gathers from, each locale's global row range, the shape
-//! of the aggregated request/reply exchange. Following the PGAS
+//! peers a locale gathers from, each locale's global row range, the
+//! SUMMA stage structure. Following the PGAS
 //! inspector–executor idea, this module compiles that pattern **once**
 //! into a [`CommSchedule`] and replays it on subsequent iterations:
 //!
@@ -46,8 +46,6 @@ pub enum FrontierClass {
     Bitmap,
     /// Dense value vector input.
     Dense,
-    /// Batched multi-source frontier of width `k`.
-    Batched(usize),
     /// An explicit index set (extract/assign).
     Index,
     /// A distributed matrix operand (sparse SUMMA).
@@ -65,10 +63,9 @@ pub struct SchedKey {
     pub class: FrontierClass,
 }
 
-/// The compiled gather pattern of the row-aligned kernels (SpMSpV push,
-/// the batched expand): which peers each locale assembles from, each
-/// locale's row range, and — for the aggregated request/reply exchange —
-/// the reply shape every owner serves.
+/// The compiled gather pattern of the row-aligned kernels (SpMSpV push
+/// for one source or a batch, dense SpMV): which peers each locale
+/// assembles from, and each locale's row range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatherPlan {
     /// Per locale: its grid-row peers in ascending locale order,
@@ -77,10 +74,6 @@ pub struct GatherPlan {
     pub row_peers: Vec<Vec<usize>>,
     /// Per locale: its global row range `(start, end)`.
     pub row_ranges: Vec<(usize, usize)>,
-    /// Per owner locale: the `(requester, start, end)` reply lines it
-    /// serves under the aggregated bulk exchange, in ascending requester
-    /// order — the drain order the executor replays.
-    pub replies: Vec<Vec<(usize, usize, usize)>>,
 }
 
 impl GatherPlan {
@@ -90,28 +83,13 @@ impl GatherPlan {
         let p = grid.locales();
         let mut row_peers: Vec<Vec<usize>> = Vec::with_capacity(p);
         let mut row_ranges: Vec<(usize, usize)> = Vec::with_capacity(p);
-        let mut replies: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); p];
         for l in 0..p {
             let (r, _) = grid.coords(l);
             row_peers.push(grid.row_locales(r).collect());
             let rr = row_range(l);
             row_ranges.push((rr.start, rr.end));
         }
-        // Reply lines mirror the request loop: requester l asks every
-        // remote row peer for its row range; owners serve requesters in
-        // ascending order (the deterministic drain order).
-        for (l, peers) in row_peers.iter().enumerate() {
-            let (start, end) = row_ranges[l];
-            for &owner in peers {
-                if owner != l {
-                    replies[owner].push((l, start, end));
-                }
-            }
-        }
-        for lines in &mut replies {
-            lines.sort_unstable_by_key(|&(requester, _, _)| requester);
-        }
-        GatherPlan { row_peers, row_ranges, replies }
+        GatherPlan { row_peers, row_ranges }
     }
 }
 
@@ -478,9 +456,6 @@ mod tests {
         // locale 0 sits in grid row 0 with peers {0, 1, 2}, itself included
         assert_eq!(p.row_peers[0], vec![0, 1, 2]);
         assert_eq!(p.row_ranges[4], (20, 25));
-        // owner 1 serves requesters 0 and 2 (its remote row peers), in
-        // ascending requester order
-        assert_eq!(p.replies[1], vec![(0, 0, 5), (2, 10, 15)]);
     }
 
     #[test]

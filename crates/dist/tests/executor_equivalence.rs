@@ -15,9 +15,13 @@ use gblas_core::gen;
 use gblas_core::ops::ewise::EwiseVariant;
 use gblas_core::ops::spmspv::{MergeStrategy, SpMSpVOpts};
 use gblas_core::trace::SpanKind;
-use gblas_dist::ops::spmspv::{CommStrategy, DistMask};
+use gblas_dist::ops::spmspv::{
+    spmspv_dist_batch, Accumulate, CommStrategy, DistMask, FirstVisitor,
+};
 use gblas_dist::ops::{apply, assign, ewise, extract, mxm, reduce, spmspv, spmv, transpose};
-use gblas_dist::{DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid};
+use gblas_dist::{
+    DistCsrMatrix, DistCtx, DistDenseVec, DistFrontier, DistSparseVec, LocaleExecutor, ProcGrid,
+};
 use gblas_sim::{MachineConfig, SimReport};
 
 /// The grids the acceptance criteria name: a rectangular and a square one.
@@ -27,6 +31,28 @@ fn ctx_with(p: usize, exec: LocaleExecutor) -> DistCtx {
     let mut d = DistCtx::new(MachineConfig::edison_cluster(p, 24));
     d.set_executor(exec);
     d
+}
+
+/// The SpMSpV engine on one source (its `k = 1` batch).
+fn spmspv_one<T, V, C, K>(
+    a: &DistCsrMatrix<T>,
+    x: &DistSparseVec<V>,
+    mask: Option<DistMask<'_>>,
+    accum: &K,
+    strategy: CommStrategy,
+    opts: SpMSpVOpts,
+    d: &DistCtx,
+) -> (DistSparseVec<C>, SimReport)
+where
+    T: Copy + Send + Sync,
+    V: Copy + Send + Sync + 'static,
+    C: Copy + Send + Sync + 'static,
+    K: Accumulate<T, V, C>,
+{
+    let masks = mask.as_ref().map(std::slice::from_ref);
+    let xs = std::slice::from_ref(x);
+    let (mut ys, rep) = spmspv_dist_batch(a, xs, masks, accum, strategy, opts, d).unwrap();
+    (ys.pop().unwrap(), rep)
 }
 
 /// Run `f` once under each executor and assert the communication totals
@@ -53,44 +79,30 @@ fn spmspv_family_matches_across_executors() {
         let dx = DistSparseVec::from_global(&x, p);
         for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
             for merge in [MergeStrategy::SortBased, MergeStrategy::Bucketed] {
+                let opts = SpMSpVOpts::with_merge(merge);
                 let (yt, ys) = run_both(p, "spmspv", |d| {
-                    spmspv::spmspv_dist_with(
-                        &da,
-                        &dx,
-                        None,
-                        strategy,
-                        SpMSpVOpts::with_merge(merge),
-                        d,
-                    )
-                    .unwrap()
+                    spmspv_one(&da, &dx, None, &FirstVisitor, strategy, opts, d)
                 });
                 assert_eq!(yt, ys, "spmspv {pr}x{pc} {strategy:?} {merge:?}");
             }
         }
         let bits = DenseVec::from_fn(400, |i| i % 3 == 0);
         let dbits = DistDenseVec::from_global(&bits, p);
+        let mask = Some(DistMask::complement(&dbits));
         let (yt, ys) = run_both(p, "spmspv_masked", |d| {
-            spmspv::spmspv_dist_masked(&da, &dx, DistMask::complement(&dbits), d).unwrap()
+            spmspv_one(&da, &dx, mask, &FirstVisitor, CommStrategy::Fine, Default::default(), d)
         });
         assert_eq!(yt, ys, "spmspv_masked {pr}x{pc}");
         let ring = semirings::plus_times_f64();
         for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
             for merge in [MergeStrategy::SortBased, MergeStrategy::Bucketed] {
-                let (yt, ys) = run_both(p, "spmspv_semiring", |d| {
-                    spmspv::spmspv_dist_semiring_with(
-                        &da,
-                        &dx,
-                        &ring,
-                        None,
-                        strategy,
-                        SpMSpVOpts::with_merge(merge),
-                        d,
-                    )
-                    .unwrap()
+                let opts = SpMSpVOpts::with_merge(merge);
+                let (yt, ys): (DistSparseVec<f64>, _) = run_both(p, "spmspv_semiring", |d| {
+                    spmspv_one(&da, &dx, None, &ring, strategy, opts, d)
                 });
                 // Bit-identical floats: the owner drains its inboxes in
-                // source-locale order (and the aggregated gather assembles
-                // replies in ascending peer order), so the accumulation
+                // source-locale order (and the gather assembles row peers'
+                // slices in ascending peer order), so the accumulation
                 // order is fixed.
                 assert_eq!(yt.to_global().indices(), ys.to_global().indices());
                 let bits_of = |v: &DistSparseVec<f64>| -> Vec<u64> {
@@ -221,7 +233,8 @@ fn gather_and_scatter_charge_the_same_element_width() {
     let mut dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
     dctx.enable_tracing();
     let ring = semirings::plus_times::<f32>();
-    let (_, _) = spmspv::spmspv_dist_semiring(&da, &dx, &ring, CommStrategy::Fine, &dctx).unwrap();
+    let _: (DistSparseVec<f32>, _) =
+        spmspv_one(&da, &dx, None, &ring, CommStrategy::Fine, SpMSpVOpts::default(), &dctx);
 
     let elem = (std::mem::size_of::<usize>() + std::mem::size_of::<f32>()) as u64;
     let trace = dctx.recorder().snapshot();
@@ -258,70 +271,64 @@ fn gather_and_scatter_charge_the_same_element_width() {
     assert!(saw_gather && saw_scatter, "trace must carry both comm phases");
 }
 
-/// The aggregated gather's ledger must be pairwise byte-symmetric: every
-/// coalesced request a locale posts (one fixed-width range descriptor per
-/// remote row peer) is answered by exactly one reply from that peer, and
-/// every reply's payload is a whole number of gathered elements. This is
-/// what makes the "≤ p messages per locale per superstep" bound auditable
-/// from the ledger alone.
+/// The aggregated gather's ledger must show the one-superstep protocol
+/// for a single source and for a batch alike: every remote gather event
+/// is one message carrying a whole number of gathered elements, at most
+/// one per (locale, remote row peer) per call, and an empty payload is
+/// never sent. This is what makes the "≤ pc − 1 messages per locale per
+/// call" bound auditable from the ledger alone.
 #[test]
-fn aggregated_gather_ledger_is_pairwise_symmetric() {
-    let req_bytes = (2 * std::mem::size_of::<usize>()) as u64;
+fn aggregated_gather_ledger_is_one_message_per_row_peer() {
     let elem_bytes = (std::mem::size_of::<usize>() + std::mem::size_of::<f64>()) as u64;
     for (pr, pc) in GRIDS {
         let grid = ProcGrid::new(pr, pc);
         let p = grid.locales();
         let a = gen::erdos_renyi(350, 6, 71);
-        let x = gen::random_sparse_vec(350, 60, 72);
         let da = DistCsrMatrix::from_global(&a, grid);
-        let dx = DistSparseVec::from_global(&x, p);
-        let dctx = ctx_with(p, LocaleExecutor::Threaded);
-        dctx.comm.record_history();
-        let ring = semirings::plus_times_f64();
-        spmspv::spmspv_dist_semiring(&da, &dx, &ring, CommStrategy::Bulk, &dctx).unwrap();
+        for k in [1usize, 8] {
+            let entries: Vec<Vec<(usize, f64)>> = (0..k)
+                .map(|s| {
+                    let x = gen::random_sparse_vec(350, 60, 72 + s as u64);
+                    x.iter().map(|(i, &v)| (i, v)).collect()
+                })
+                .collect();
+            let f = DistFrontier::from_entries(350, entries, p).unwrap();
+            let dctx = ctx_with(p, LocaleExecutor::Threaded);
+            dctx.comm.record_history();
+            let ring = semirings::plus_times_f64();
+            let opts = SpMSpVOpts::default();
+            let _: (Vec<DistSparseVec<f64>>, _) =
+                spmspv_dist_batch(&da, f.rows(), None, &ring, CommStrategy::Bulk, opts, &dctx)
+                    .unwrap();
 
-        let gather: Vec<_> = dctx
-            .comm
-            .history()
-            .into_iter()
-            .filter(|e| e.phase == "gather" && e.src != e.dst)
-            .collect();
-        assert!(!gather.is_empty(), "{pr}x{pc}: bulk gather sent no messages");
-        // Requests are the fixed-width range descriptors; everything else
-        // in the gather phase is a reply.
-        let mut requests = std::collections::HashMap::new();
-        let mut replies = std::collections::HashMap::new();
-        for e in &gather {
-            assert_eq!(e.msgs, 1, "{pr}x{pc}: gather messages must be coalesced");
-            if e.bytes == req_bytes {
-                *requests.entry((e.src, e.dst)).or_insert(0u64) += 1;
-            } else {
+            let gather: Vec<_> = dctx
+                .comm
+                .history()
+                .into_iter()
+                .filter(|e| e.phase == "gather" && e.src != e.dst)
+                .collect();
+            assert!(!gather.is_empty(), "{pr}x{pc} k={k}: bulk gather sent no messages");
+            let mut pairs = std::collections::HashMap::new();
+            for e in &gather {
+                let (l, peer) = (e.src, e.dst);
+                assert_eq!(e.msgs, 1, "{pr}x{pc} k={k}: gather messages must be coalesced");
+                assert!(e.bytes > 0, "{pr}x{pc} k={k}: empty gather message {l} <- {peer}");
                 assert_eq!(
                     e.bytes % elem_bytes,
                     0,
-                    "{pr}x{pc}: reply {} -> {} carries a partial element ({} bytes)",
-                    e.src,
-                    e.dst,
+                    "{pr}x{pc} k={k}: {l} <- {peer} carries a partial element ({} bytes)",
                     e.bytes
                 );
-                *replies.entry((e.src, e.dst)).or_insert(0u64) += 1;
+                assert_eq!(grid.coords(l).0, grid.coords(peer).0, "{l} <- {peer} not row peers");
+                *pairs.entry((l, peer)).or_insert(0u64) += 1;
             }
-        }
-        // one reply per request, mirrored across the pair; at most one
-        // request per (requester, owner) pair per superstep
-        for (&(l, o), &nreq) in &requests {
-            assert_eq!(nreq, 1, "{pr}x{pc}: {l} sent {nreq} requests to {o}");
-            assert_eq!(
-                replies.get(&(o, l)).copied().unwrap_or(0),
-                1,
-                "{pr}x{pc}: request {l} -> {o} unanswered"
-            );
-        }
-        assert_eq!(requests.len(), replies.len(), "{pr}x{pc}: unrequested replies");
-        // the ≤ p-per-locale-per-superstep aggregate bound
-        for l in 0..p {
-            let sent = requests.keys().filter(|&&(s, _)| s == l).count();
-            assert!(sent <= p, "{pr}x{pc}: locale {l} sent {sent} requests");
+            for (&(l, peer), &n) in &pairs {
+                assert_eq!(n, 1, "{pr}x{pc} k={k}: {l} gathered from {peer} {n} times");
+            }
+            for l in 0..p {
+                let sent = pairs.keys().filter(|&&(s, _)| s == l).count();
+                assert!(sent < pc, "{pr}x{pc} k={k}: locale {l} sent {sent} gather messages");
+            }
         }
     }
 }
@@ -352,8 +359,8 @@ fn mid_superstep_fault_propagates_without_deadlock() {
 }
 
 /// The same no-deadlock guarantee on the aggregated-gather (Bulk) path:
-/// faults landing in the request, reply, and scatter supersteps must all
-/// surface as `CommFailure` under both executors.
+/// faults landing in the gather and scatter supersteps must all surface
+/// as `CommFailure` under both executors.
 #[test]
 fn mid_superstep_fault_propagates_on_aggregated_gather() {
     let grid = ProcGrid::new(2, 3);
@@ -402,16 +409,9 @@ fn workspace_pooling_is_bit_invisible_across_executors() {
                 for _ in 0..2 {
                     for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
                         for merge in [MergeStrategy::SortBased, MergeStrategy::Bucketed] {
-                            let (y, rep) = spmspv::spmspv_dist_semiring_with(
-                                &da,
-                                &dx,
-                                &ring,
-                                None,
-                                strategy,
-                                SpMSpVOpts::with_merge(merge),
-                                &dctx,
-                            )
-                            .unwrap();
+                            let opts = SpMSpVOpts::with_merge(merge);
+                            let (y, rep): (DistSparseVec<f64>, _) =
+                                spmspv_one(&da, &dx, None, &ring, strategy, opts, &dctx);
                             let g = y.to_global();
                             let bits = g.values().iter().map(|v| v.to_bits()).collect();
                             outs.push((g.indices().to_vec(), bits, rep));

@@ -10,10 +10,10 @@ use gblas_core::container::DenseVec;
 use gblas_core::gen;
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
-use gblas_dist::ops::expand::{expand_dist_first_visitor, DistFrontier};
+use gblas_dist::ops::expand::DistFrontier;
 use gblas_dist::ops::pull::pull_first_visitor_dist;
-use gblas_dist::ops::spmspv::CommStrategy;
-use gblas_dist::ops::{extract, spmspv, spmv};
+use gblas_dist::ops::spmspv::{spmspv_dist_batch, CommStrategy, DistMask, FirstVisitor};
+use gblas_dist::ops::{extract, spmv};
 use gblas_dist::{DistCsrMatrix, DistCtx, DistDenseVec, DistSparseVec, LocaleExecutor, ProcGrid};
 use gblas_sim::{MachineConfig, SimReport};
 use proptest::prelude::*;
@@ -68,16 +68,17 @@ fn run_suite(dctx: &DistCtx, grid: ProcGrid) -> (Vec<Out>, Vec<SimReport>, (u64,
     let mut outs = Vec::new();
     let mut reps = Vec::new();
     for pass in 0..2 {
+        let xs = std::slice::from_ref(&dx);
+        let opts = SpMSpVOpts::default();
         for strategy in [CommStrategy::Fine, CommStrategy::Bulk] {
             let (y, rep) =
-                spmspv::spmspv_dist_with(&da, &dx, None, strategy, SpMSpVOpts::default(), dctx)
-                    .unwrap();
-            outs.push(enc_parents(&y));
+                spmspv_dist_batch(&da, xs, None, &FirstVisitor, strategy, opts, dctx).unwrap();
+            outs.push(enc_parents(&y[0]));
             reps.push(rep);
         }
         let (y, rep) =
-            spmspv::spmspv_dist_semiring(&da, &dx, &ring, CommStrategy::Bulk, dctx).unwrap();
-        outs.push(enc_sparse(&y));
+            spmspv_dist_batch(&da, xs, None, &ring, CommStrategy::Bulk, opts, dctx).unwrap();
+        outs.push(enc_sparse(&y[0]));
         reps.push(rep);
 
         let (y, rep) = pull_first_visitor_dist(&dat, &frontier, &visited, dctx).unwrap();
@@ -97,9 +98,18 @@ fn run_suite(dctx: &DistCtx, grid: ProcGrid) -> (Vec<Out>, Vec<SimReport>, (u64,
         let masks: Vec<DistDenseVec<bool>> = (0..3)
             .map(|s| DistDenseVec::from_global(&DenseVec::from_fn(n, |i| i % (4 + s) == 0), p))
             .collect();
-        let (nf, rep) =
-            expand_dist_first_visitor(&da, &f, &masks, SpMSpVOpts::default(), dctx).unwrap();
-        for row in nf.rows() {
+        let masks: Vec<DistMask> = masks.iter().map(DistMask::complement).collect();
+        let (nf, rep) = spmspv_dist_batch(
+            &da,
+            f.rows(),
+            Some(&masks),
+            &FirstVisitor,
+            CommStrategy::Bulk,
+            opts,
+            dctx,
+        )
+        .unwrap();
+        for row in &nf {
             outs.push(enc_parents(row));
         }
         reps.push(rep);
@@ -137,12 +147,13 @@ fn schedules_on_vs_off_are_bit_identical_everywhere() {
             );
 
             let m_on = d_on.metrics().snapshot();
-            // five distinct plan keys (gather_rows, pull_gather, extract,
-            // expand_gather, spmv_gather) inspected exactly once each
-            assert_eq!(m_on.sched_builds, 5, "{pr}x{pc} {exec:?}: {m_on:?}");
+            // four distinct plan keys (gather_rows — shared by one source
+            // and the batch — pull_gather, extract, spmv_gather) inspected
+            // exactly once each
+            assert_eq!(m_on.sched_builds, 4, "{pr}x{pc} {exec:?}: {m_on:?}");
             assert_eq!(m_on.sched_invalidations, 0, "{pr}x{pc} {exec:?}: {m_on:?}");
-            // pass 2 replays all five; pass 1 already replays the second
-            // and third spmspv gathers
+            // pass 2 replays every gather; pass 1 already replays the
+            // second and third spmspv gathers and the batch's
             assert!(m_on.sched_replays >= 7, "{pr}x{pc} {exec:?}: too few replays in {m_on:?}");
             let m_off = d_off.metrics().snapshot();
             assert_eq!(
@@ -182,10 +193,17 @@ proptest! {
             let d = ctx(p, LocaleExecutor::Serial, schedules);
             let mut outs: Vec<Out> = Vec::new();
             for _ in 0..2 {
-                let (y, _) =
-                    spmspv::spmspv_dist_semiring(&da, &dx, &ring, CommStrategy::Bulk, &d)
-                        .unwrap();
-                outs.push(enc_sparse(&y));
+                let (y, _) = spmspv_dist_batch(
+                    &da,
+                    std::slice::from_ref(&dx),
+                    None,
+                    &ring,
+                    CommStrategy::Bulk,
+                    SpMSpVOpts::default(),
+                    &d,
+                )
+                .unwrap();
+                outs.push(enc_sparse(&y[0]));
                 let (y, _) = spmv::spmv_dist(&da, &xd, &ring, &d).unwrap();
                 outs.push(enc_dense(&y));
             }

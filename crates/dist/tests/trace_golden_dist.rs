@@ -4,7 +4,7 @@
 //! Chrome sink. The SpMSpV runs (once per merge strategy) pin the span
 //! structure the observability stack promises: the `bucket` phase (and
 //! the absence of any sort work) under the bucketed merge, and the
-//! aggregated request/reply `gather` supersteps under
+//! aggregated one-message-per-row-peer `gather` superstep under
 //! `CommStrategy::Bulk`. The SpGEMM run pins the multi-stage SUMMA's
 //! `mxm` op span (algo/stages/grid attributes) and its `select` span
 //! carrying the per-stage density-adaptive kernel census
@@ -20,7 +20,7 @@ use gblas_core::ops::spmspv::{MergeStrategy, SpMSpVOpts};
 use gblas_core::trace::sink::chrome_trace;
 use gblas_core::trace::SpanKind;
 use gblas_dist::ops::mxm::mxm_dist;
-use gblas_dist::ops::spmspv::{spmspv_dist_semiring_with, CommStrategy, PHASE_GATHER};
+use gblas_dist::ops::spmspv::{spmspv_dist_batch, CommStrategy, PHASE_GATHER};
 use gblas_dist::{DistCsrMatrix, DistCtx, DistSparseVec, LocaleExecutor, ProcGrid};
 use gblas_sim::MachineConfig;
 
@@ -34,11 +34,11 @@ fn traced_run(merge: MergeStrategy) -> gblas_core::trace::Trace {
     dctx.set_executor(LocaleExecutor::Serial);
     dctx.enable_tracing();
     let ring = semirings::plus_times_f64();
-    spmspv_dist_semiring_with(
+    spmspv_dist_batch(
         &da,
-        &dx,
-        &ring,
+        std::slice::from_ref(&dx),
         None,
+        &ring,
         CommStrategy::Bulk,
         SpMSpVOpts::with_merge(merge),
         &dctx,

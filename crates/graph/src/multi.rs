@@ -7,7 +7,8 @@
 //! ([`gblas_core::container::SparseFrontier`] /
 //! [`gblas_dist::DistFrontier`]) turns every traversal level into **one**
 //! batched expansion — in distributed memory, one fused bulk message per
-//! locale pair instead of k (see `gblas_dist::ops::expand`).
+//! locale pair instead of k (see `gblas_dist::ops::spmspv`, whose engine
+//! runs a single source as the `k = 1` batch).
 //!
 //! Each `*_multi_on` function is the single-source algorithm text with
 //! the per-level kernel swapped for its batched counterpart. Because the
@@ -25,6 +26,7 @@ use gblas_core::container::{CsrMatrix, DenseVec};
 use gblas_core::error::{check_dims, GblasError, Result};
 use gblas_core::ops::spmspv::SpMSpVOpts;
 use gblas_core::par::ExecCtx;
+use gblas_dist::ops::spmspv::CommStrategy;
 use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx};
 
 fn check_sources<B: GblasBackend, T: Scalar>(
@@ -109,15 +111,15 @@ pub fn bfs_multi_with<T: Scalar>(
     bfs_multi_on(&SharedBackend::new(ctx), a, sources, opts)
 }
 
-/// Distributed batched BFS: one fused gather/scatter per level for the
-/// whole batch. Returns per-source results plus the accumulated
-/// simulated-time ledger.
+/// Distributed batched BFS under `CommStrategy::Bulk`: one fused
+/// gather/scatter per level for the whole batch. Returns per-source
+/// results plus the accumulated simulated-time ledger.
 pub fn bfs_multi_dist<T: Scalar>(
     a: &DistCsrMatrix<T>,
     sources: &[usize],
     dctx: &DistCtx,
 ) -> Result<(Vec<BfsResult>, gblas_sim::SimReport)> {
-    let backend = DistBackend::new(dctx);
+    let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
     let results = bfs_multi_on(&backend, a, sources, SpMSpVOpts::default())?;
     Ok((results, backend.take_report()))
 }
@@ -186,14 +188,14 @@ pub fn sssp_multi_with<T: EdgeWeight>(
     sssp_multi_on(&SharedBackend::new(ctx), a, sources, opts)
 }
 
-/// Distributed batched SSSP. Returns per-source distances plus the
-/// accumulated simulated-time ledger.
+/// Distributed batched SSSP under `CommStrategy::Bulk`. Returns
+/// per-source distances plus the accumulated simulated-time ledger.
 pub fn sssp_multi_dist<T: EdgeWeight>(
     a: &DistCsrMatrix<T>,
     sources: &[usize],
     dctx: &DistCtx,
 ) -> Result<(Vec<DenseVec<f64>>, gblas_sim::SimReport)> {
-    let backend = DistBackend::new(dctx);
+    let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
     let results = sssp_multi_on(&backend, a, sources, SpMSpVOpts::default())?;
     Ok((results, backend.take_report()))
 }
@@ -321,15 +323,15 @@ pub fn ppr<T: Scalar>(
     Ok((r.scores.remove(0), r.iterations[0]))
 }
 
-/// Distributed batched personalized PageRank. Returns the batched result
-/// plus the accumulated simulated-time ledger.
+/// Distributed batched personalized PageRank under `CommStrategy::Bulk`.
+/// Returns the batched result plus the accumulated simulated-time ledger.
 pub fn ppr_multi_dist<T: Scalar>(
     a: &DistCsrMatrix<T>,
     seeds: &[usize],
     opts: PprOptions,
     dctx: &DistCtx,
 ) -> Result<(PprResult, gblas_sim::SimReport)> {
-    let backend = DistBackend::new(dctx);
+    let backend = DistBackend::with_strategy(dctx, CommStrategy::Bulk);
     let result = ppr_multi_on(&backend, a, seeds, opts)?;
     Ok((result, backend.take_report()))
 }

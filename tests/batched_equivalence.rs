@@ -12,10 +12,10 @@ use gblas_core::container::CsrMatrix;
 use gblas_core::gen;
 use gblas_core::par::ExecCtx;
 use gblas_dist::ops::spmspv::CommStrategy;
-use gblas_dist::{DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
+use gblas_dist::{DistBackend, DistCsrMatrix, DistCtx, LocaleExecutor, ProcGrid};
 use gblas_graph::{
-    bfs, bfs_dist_with, bfs_multi, bfs_multi_dist, ppr_multi, ppr_multi_dist, sssp, sssp_dist_with,
-    sssp_multi, sssp_multi_dist, PprOptions,
+    bfs, bfs_dist_with, bfs_multi, bfs_multi_dist, bfs_multi_on, ppr_multi, ppr_multi_dist, sssp,
+    sssp_dist_with, sssp_multi, sssp_multi_dist, PprOptions,
 };
 use gblas_sim::MachineConfig;
 
@@ -72,6 +72,40 @@ fn batched_bfs_is_bit_identical_to_the_k_loop() {
             )
             .unwrap();
             assert_eq!(dist_batch[1], solo, "grid {pr}x{pc} {executor:?} vs dist single-source");
+        }
+    }
+}
+
+/// A batch honours its backend's comm strategy: under a Fine
+/// `DistBackend` every slot equals its Fine single-source run, and the
+/// element-wise gather shows in the ledger as more gather messages than
+/// the Bulk batch (`bfs_multi_dist`) pays for the same queries.
+#[test]
+fn fine_batched_bfs_matches_fine_singles_and_outsends_bulk() {
+    let a = graph();
+    let gather_msgs = |d: &DistCtx| -> u64 {
+        d.comm.history().iter().filter(|e| e.phase == "gather").map(|e| e.msgs).sum()
+    };
+    for (pr, pc) in [(2, 2), (2, 3)] {
+        let grid = ProcGrid::new(pr, pc);
+        let da = DistCsrMatrix::from_global(&a, grid);
+        for executor in EXECUTORS {
+            let d_fine = dctx(grid, executor);
+            d_fine.comm.record_history();
+            let fine = bfs_multi_on(&DistBackend::new(&d_fine), &da, &SOURCES, Default::default())
+                .unwrap();
+            for (s, &src) in SOURCES.iter().enumerate() {
+                let d = dctx(grid, executor);
+                let (solo, _) =
+                    bfs_dist_with(&da, src, CommStrategy::Fine, Default::default(), &d).unwrap();
+                assert_eq!(fine[s], solo, "grid {pr}x{pc} {executor:?} slot {s}");
+            }
+            let d_bulk = dctx(grid, executor);
+            d_bulk.comm.record_history();
+            let (bulk, _) = bfs_multi_dist(&da, &SOURCES, &d_bulk).unwrap();
+            assert_eq!(fine, bulk, "grid {pr}x{pc} {executor:?}: strategies disagree");
+            let (f, b) = (gather_msgs(&d_fine), gather_msgs(&d_bulk));
+            assert!(f > b, "grid {pr}x{pc} {executor:?}: fine {f} vs bulk {b} gather msgs");
         }
     }
 }

@@ -17,7 +17,7 @@ use gblas_core::ops::spmspv::{
     PHASE_SORT,
 };
 use gblas_core::par::ExecCtx;
-use gblas_dist::ops::spmspv::{spmspv_dist_semiring_with, CommStrategy};
+use gblas_dist::ops::spmspv::{spmspv_dist_batch, CommStrategy};
 use gblas_dist::{DistCsrMatrix, DistCtx, DistSparseVec, ProcGrid};
 use gblas_sim::MachineConfig;
 
@@ -121,17 +121,17 @@ fn env_override_applies_identically_on_both_backends() {
                 .unwrap()
                 .vector;
             let dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
-            let (dy, _) = spmspv_dist_semiring_with(
+            let (dy, _) = spmspv_dist_batch(
                 &da,
-                &dx,
-                &ring,
+                std::slice::from_ref(&dx),
                 None,
+                &ring,
                 CommStrategy::Bulk,
                 SpMSpVOpts::default(),
                 &dctx,
             )
             .unwrap();
-            (shared, dy.to_global())
+            (shared, dy[0].to_global())
         });
         assert_eq!(shared.indices(), dist.indices(), "env={env:?}");
         for (p, q) in shared.values().iter().zip(dist.values()) {
