@@ -15,8 +15,8 @@
 //! - **spmspv**: repeated `spmspv_semiring` calls with a fixed operand —
 //!   the steady-state inner kernel on its own.
 //! - **mxm**: repeated multi-stage SUMMA SpGEMM (`A·A` on a 2×2 grid) —
-//!   the MCL expansion workload; per-stage receive slices and the dense
-//!   SPA accumulator check out of the locale workspace pools, so the
+//!   the MCL expansion workload; stage slices, row accumulators and the
+//!   flat stage buffers check out of the locale workspace pools, so the
 //!   steady state must be pool-miss free just like the vector kernels.
 //!
 //! Each workload runs one untimed warm-up pass first so the pool shelves
@@ -25,8 +25,9 @@
 //! iterations. Results are written as JSON (default `BENCH_alloc.json`).
 //!
 //! `--check` runs at a reduced scale and exits nonzero if the pooled BFS
-//! steady state performs any pool-miss checkouts — the CI gate for
-//! "zero-allocation hot paths".
+//! or SpGEMM steady state performs any pool-miss checkouts, or if pooled
+//! SpGEMM makes [`MXM_ALLOCS_CAP`] or more allocations per multiply — the
+//! CI gate for "zero-allocation hot paths".
 //!
 //! A `sched` section records the inspector–executor schedule cache's
 //! behaviour on the simulated cluster (one distributed BFS and one
@@ -78,6 +79,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Measured iterations skipped before the "steady" aggregate.
 const WARMUP_ITERS: usize = 2;
+
+/// `--check` cap on pooled SpGEMM steady-state allocations per multiply:
+/// the SUMMA stage pipeline draws its row and stage scratch from the
+/// locale pools, leaving only the per-call result and bookkeeping.
+const MXM_ALLOCS_CAP: u64 = 1_000;
 
 /// Per-iteration deltas: allocator traffic plus pool checkouts.
 #[derive(Debug, Clone, Copy, Default)]
@@ -463,6 +469,19 @@ fn main() {
             );
             std::process::exit(1);
         }
-        eprintln!("alloc_bench --check OK: BFS steady state is pool-miss free");
+        let mxm_pooled = &sections[3].1;
+        let (allocs, misses) =
+            (mxm_pooled.steady_mean(|s| s.allocs), mxm_pooled.steady_misses_total());
+        if allocs >= MXM_ALLOCS_CAP as f64 || misses != 0 {
+            eprintln!(
+                "alloc_bench --check FAILED: SpGEMM steady state made {allocs:.1} allocs/iter \
+                 (cap {MXM_ALLOCS_CAP}) and {misses} pool-miss checkouts (expected 0)"
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "alloc_bench --check OK: BFS and SpGEMM steady states are pool-miss free, \
+             SpGEMM at {allocs:.1} allocs/iter"
+        );
     }
 }

@@ -24,7 +24,7 @@ mod sparse_vec;
 
 pub use coo::{CooMatrix, DupPolicy};
 pub use csc::CscMatrix;
-pub use csr::CsrMatrix;
+pub use csr::{CsrBuf, CsrMatrix};
 pub use dense_vec::DenseVec;
 pub use frontier::SparseFrontier;
 pub use sparse_vec::SparseVec;

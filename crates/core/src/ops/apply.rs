@@ -78,7 +78,7 @@ pub fn map_mat<T: Copy + Send + Sync, C: Copy + Send + Sync>(
     ctx: &ExecCtx,
 ) -> CsrMatrix<C> {
     let chunks = ctx.parallel_for(PHASE, a.nrows(), |r, c| {
-        let mut out: Vec<C> = Vec::new();
+        let mut out: Vec<C> = Vec::with_capacity(a.rowptr()[r.end] - a.rowptr()[r.start]);
         for i in r.clone() {
             let (cols, vals) = a.row(i);
             for (&j, &v) in cols.iter().zip(vals) {

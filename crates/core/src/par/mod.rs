@@ -80,13 +80,19 @@ impl ExecCtx {
 
     /// Explicit constructor. `threads >= 1`, `real_threads >= 1`.
     pub fn new(threads: usize, real_threads: usize) -> Self {
+        Self::with_pool(threads, real_threads, Arc::new(WorkspacePool::from_env()))
+    }
+
+    /// [`ExecCtx::new`] drawing scratch from an existing (say, a locale's
+    /// long-lived) workspace pool.
+    pub fn with_pool(threads: usize, real_threads: usize, workspace: Arc<WorkspacePool>) -> Self {
         ExecCtx {
             threads: threads.max(1),
             real_threads: real_threads.max(1),
             profile: Mutex::new(Profile::default()),
             recorder: TraceRecorder::disabled(),
             metrics: Arc::new(MetricsRegistry::default()),
-            workspace: Arc::new(WorkspacePool::from_env()),
+            workspace,
         }
     }
 
@@ -111,13 +117,6 @@ impl ExecCtx {
     /// The workspace pool ops under this context check scratch out of.
     pub fn workspace(&self) -> &Arc<WorkspacePool> {
         &self.workspace
-    }
-
-    /// Replace the workspace pool — the distributed layer uses this to
-    /// hand every superstep's per-locale context the *same* long-lived
-    /// pool so scratch survives across supersteps and iterations.
-    pub fn set_workspace_pool(&mut self, pool: Arc<WorkspacePool>) {
-        self.workspace = pool;
     }
 
     /// Check out a [`DenseSpa`] over `0..capacity` from the pool.
@@ -147,6 +146,12 @@ impl ExecCtx {
     /// Check out a `vec![fill; len]`-shaped scratch vector from the pool.
     pub fn ws_filled_vec<T: Clone + Send + 'static>(&self, len: usize, fill: T) -> WsGuard<Vec<T>> {
         self.workspace.filled_vec(len, fill, &self.metrics)
+    }
+
+    /// Check out a reusable scratch value (stale contents; see
+    /// [`WorkspacePool::scratch`]).
+    pub fn ws_scratch<T: Default + Send + 'static>(&self) -> WsGuard<T> {
+        self.workspace.scratch(&self.metrics)
     }
 
     /// Check out a `n`-slot outbox (vector of empty vectors) from the pool.

@@ -21,7 +21,9 @@
 //! multi-stage broadcasts affordable on hypersparse blocks.
 
 use gblas_core::container::CsrMatrix;
-use gblas_core::par::Counters;
+use gblas_core::ops::mxm::sort_charge;
+use gblas_core::par::{Counters, ExecCtx};
+use gblas_core::workspace::WsGuard;
 
 /// Per-block storage format, chosen by [`choose_format`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,18 +80,24 @@ pub fn slice_wire_bytes(nz_lines: usize, nnz: usize, elem: usize) -> u64 {
     (2 * nz_lines * w + nnz * (w + elem)) as u64
 }
 
-/// A column slice of an operand block in compressed-row form: only the
-/// nonempty rows, each with its entries as `(stage-relative column, value)`
-/// pairs ascending by column. This is both the SUMMA broadcast payload for
-/// `A` slices and the left-operand shape every local multiply kernel
-/// consumes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColSlice<T> {
-    /// `(local row, entries)` for each nonempty row, ascending by row.
-    pub rows: Vec<(usize, Vec<(usize, T)>)>,
+/// A stage's column slice of an `A` block in compressed-row form: the
+/// nonempty rows, each a run of entries ascending by (block-local) column.
+/// A CSR block's slice is a view into the block's own arrays; a DCSC
+/// block's entries are regrouped into pooled flat buffers. Built once per
+/// (stage, owner), it is both the SUMMA broadcast payload and the left
+/// operand of every receiver's local multiply.
+pub struct StageSlice<'a, T: Send + 'static> {
+    /// `(local row, entry start, entry end)` per nonempty row, ascending.
+    rows: WsGuard<Vec<(usize, usize, usize)>>,
+    entries: SliceEntries<'a, T>,
 }
 
-impl<T> ColSlice<T> {
+enum SliceEntries<'a, T: Send + 'static> {
+    View(&'a CsrMatrix<T>),
+    Owned(WsGuard<Vec<usize>>, WsGuard<Vec<T>>),
+}
+
+impl<T: Copy + Send + 'static> StageSlice<'_, T> {
     /// Number of nonempty rows in the slice.
     pub fn nzr(&self) -> usize {
         self.rows.len()
@@ -97,7 +105,20 @@ impl<T> ColSlice<T> {
 
     /// Number of entries in the slice.
     pub fn nnz(&self) -> usize {
-        self.rows.iter().map(|(_, e)| e.len()).sum()
+        self.rows.iter().map(|&(_, start, end)| end - start).sum()
+    }
+
+    /// `(local row, entry start, entry end)` per nonempty row.
+    pub fn rows(&self) -> &[(usize, usize, usize)] {
+        &self.rows
+    }
+
+    /// The `(column ids, values)` arrays the row spans index.
+    pub fn entries(&self) -> (&[usize], &[T]) {
+        match &self.entries {
+            SliceEntries::View(a) => (a.colidx(), a.values()),
+            SliceEntries::Owned(cols, vals) => (cols, vals),
+        }
     }
 }
 
@@ -171,61 +192,60 @@ impl<T: Copy> DcscBlock<T> {
         self.ir.len()
     }
 
-    /// Nonempty column ids (ascending).
-    pub fn jc(&self) -> &[usize] {
-        &self.jc
-    }
-
-    /// Column pointer array (`nzc + 1` offsets into `ir`/`val`).
-    pub fn cp(&self) -> &[usize] {
-        &self.cp
-    }
-
-    /// Entries in the column range `[lo, hi)` without touching the other
-    /// columns: two binary searches on `jc`, then a scan of just the
-    /// covered spans. Returns `(jc index range, entry count)`.
-    pub fn col_span(&self, lo: usize, hi: usize) -> (std::ops::Range<usize>, usize) {
-        let start = self.jc.partition_point(|&j| j < lo);
-        let end = self.jc.partition_point(|&j| j < hi);
-        (start..end, self.cp[end] - self.cp[start])
-    }
-
-    /// Extract the column range `[lo, hi)` as a compressed-row
-    /// [`ColSlice`] with stage-relative column ids (`j - lo`). Work is
-    /// charged to `c`: two `jc` probes, a stream over the covered entries,
-    /// and the stable row-regrouping sort.
-    pub fn col_slice(&self, lo: usize, hi: usize, c: &mut Counters) -> ColSlice<T> {
-        let (span, count) = self.col_span(lo, hi);
+    /// Extract the column range `[lo, hi)` as a [`StageSlice`] in buffers
+    /// from `ctx`'s pool. Work is charged to `c`: two `jc` probes, a
+    /// stream over the covered entries, and the row-regrouping sort.
+    pub fn col_slice(
+        &self,
+        lo: usize,
+        hi: usize,
+        ctx: &ExecCtx,
+        c: &mut Counters,
+    ) -> StageSlice<'static, T>
+    where
+        T: Send + 'static,
+    {
+        // Two binary searches on `jc` bound the covered columns' spans.
+        let span = self.jc.partition_point(|&j| j < lo)..self.jc.partition_point(|&j| j < hi);
+        let count = self.cp[span.end] - self.cp[span.start];
         c.search_probes += 2 * (self.jc.len().max(1).ilog2() as u64 + 1);
-        let mut triples: Vec<(usize, usize, T)> = Vec::with_capacity(count);
+        c.elems += count as u64;
+        c.sort_elems += sort_charge(count);
+        let mut triples = ctx.ws_vec::<(usize, usize, T)>();
         for ci in span {
-            let j = self.jc[ci] - lo;
             for e in self.cp[ci]..self.cp[ci + 1] {
-                triples.push((self.ir[e], j, self.val[e]));
+                triples.push((self.ir[e], self.jc[ci], self.val[e]));
             }
         }
-        c.elems += triples.len() as u64;
-        // columns were visited ascending; a stable sort by row yields
-        // per-row entries ascending by stage-relative column
-        triples.sort_by_key(|&(i, _, _)| i);
-        c.sort_elems += (triples.len().max(1).ilog2() as u64 + 1) * triples.len() as u64;
-        group_rows(triples)
+        // (row, column) pairs are unique, so this orders each row's
+        // entries by column exactly as a stable row sort would.
+        triples.sort_unstable_by_key(|&(i, j, _)| (i, j));
+        let (mut rows, mut cols, mut vals) = (ctx.ws_vec(), ctx.ws_vec(), ctx.ws_vec());
+        for &(i, j, v) in triples.iter() {
+            match rows.last_mut() {
+                Some((r, _, end)) if *r == i => *end += 1,
+                _ => rows.push((i, cols.len(), cols.len() + 1)),
+            }
+            cols.push(j);
+            vals.push(v);
+        }
+        StageSlice { rows, entries: SliceEntries::Owned(cols, vals) }
     }
 }
 
-/// Extract the column range `[lo, hi)` of a CSR block as a compressed-row
-/// [`ColSlice`] with stage-relative column ids. Costs one row-pointer scan
-/// plus two binary probes per nonempty row — the `O(nrows)` scan DCSC
-/// blocks avoid.
-pub fn csr_col_slice<T: Copy>(
-    a: &CsrMatrix<T>,
+/// View the column range `[lo, hi)` of a CSR block as a [`StageSlice`].
+/// Charged as one row-pointer scan plus two binary probes per nonempty
+/// row — the `O(nrows)` scan DCSC blocks avoid.
+pub fn csr_col_slice<'a, T: Copy + Send + 'static>(
+    a: &'a CsrMatrix<T>,
     lo: usize,
     hi: usize,
+    ctx: &ExecCtx,
     c: &mut Counters,
-) -> ColSlice<T> {
-    let mut rows = Vec::new();
+) -> StageSlice<'a, T> {
+    let mut rows = ctx.ws_vec();
     for i in 0..a.nrows() {
-        let (cols, vals) = a.row(i);
+        let (cols, _) = a.row(i);
         if cols.is_empty() {
             continue;
         }
@@ -233,27 +253,13 @@ pub fn csr_col_slice<T: Copy>(
         let e = cols.partition_point(|&j| j < hi);
         c.search_probes += 2 * (cols.len().max(1).ilog2() as u64 + 1);
         if s < e {
-            let entries: Vec<(usize, T)> =
-                cols[s..e].iter().zip(&vals[s..e]).map(|(&j, &v)| (j - lo, v)).collect();
-            c.elems += entries.len() as u64;
-            rows.push((i, entries));
+            c.elems += (e - s) as u64;
+            rows.push((i, a.rowptr()[i] + s, a.rowptr()[i] + e));
         }
     }
     // the pointer scan itself: one streamed element per local row
     c.elems += a.nrows() as u64;
-    ColSlice { rows }
-}
-
-/// Group row-major-sorted `(row, col, val)` triples into a [`ColSlice`].
-fn group_rows<T: Copy>(triples: Vec<(usize, usize, T)>) -> ColSlice<T> {
-    let mut rows: Vec<(usize, Vec<(usize, T)>)> = Vec::new();
-    for (i, j, v) in triples {
-        match rows.last_mut() {
-            Some((r, entries)) if *r == i => entries.push((j, v)),
-            _ => rows.push((i, vec![(j, v)])),
-        }
-    }
-    ColSlice { rows }
+    StageSlice { rows, entries: SliceEntries::View(a) }
 }
 
 #[cfg(test)]
@@ -281,16 +287,29 @@ mod tests {
         assert_eq!(d.to_csr(), a);
     }
 
+    /// `(row, [(column, value)])` per nonempty row of a slice.
+    fn rows_of(s: &StageSlice<'_, f64>) -> Vec<(usize, Vec<(usize, f64)>)> {
+        let (cols, vals) = s.entries();
+        s.rows()
+            .iter()
+            .map(|&(i, b, e)| (i, (b..e).map(|x| (cols[x], vals[x])).collect()))
+            .collect()
+    }
+
     #[test]
     fn col_slice_matches_csr_extraction() {
         let a = gen::erdos_renyi(60, 4, 21);
         let d = DcscBlock::from_csr(&a);
+        let ctx = ExecCtx::serial();
         for (lo, hi) in [(0usize, 60usize), (0, 17), (17, 43), (43, 60), (30, 30)] {
             let mut c1 = Counters::default();
             let mut c2 = Counters::default();
-            let from_dcsc = d.col_slice(lo, hi, &mut c1);
-            let from_csr = csr_col_slice(&a, lo, hi, &mut c2);
-            assert_eq!(from_dcsc, from_csr, "[{lo},{hi})");
+            let from_dcsc = d.col_slice(lo, hi, &ctx, &mut c1);
+            let from_csr = csr_col_slice(&a, lo, hi, &ctx, &mut c2);
+            assert_eq!(rows_of(&from_dcsc), rows_of(&from_csr), "[{lo},{hi})");
+            assert_eq!((from_dcsc.nnz(), from_dcsc.nzr()), (from_csr.nnz(), from_csr.nzr()));
+            let expect = a.iter().filter(|&(_, j, _)| (lo..hi).contains(&j)).count();
+            assert_eq!(from_csr.nnz(), expect, "[{lo},{hi})");
         }
     }
 

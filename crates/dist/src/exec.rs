@@ -227,21 +227,14 @@ impl DistCtx {
         self.machine.locales()
     }
 
-    /// A fresh per-locale execution context: `threads_per_locale` logical
-    /// threads, serial real execution (deterministic).
-    pub fn locale_ctx(&self) -> ExecCtx {
-        ExecCtx::new(self.machine.threads_per_locale, 1)
-    }
-
-    /// Like [`DistCtx::locale_ctx`], but attached to locale `l`'s
-    /// long-lived workspace pool, so kernel scratch checked out by the
-    /// superstep body is returned to the pool when the body's guards drop
-    /// and reused by the next superstep that runs on `l`. The context
-    /// itself (thread counts, counters, profile) is still fresh.
+    /// A fresh per-locale execution context for locale `l`:
+    /// `threads_per_locale` logical threads, serial real execution
+    /// (deterministic), attached to `l`'s long-lived workspace pool, so
+    /// kernel scratch checked out by the superstep body is returned to the
+    /// pool when the body's guards drop and reused by the next superstep
+    /// that runs on `l`.
     pub fn locale_ctx_for(&self, l: usize) -> ExecCtx {
-        let mut ctx = self.locale_ctx();
-        ctx.set_workspace_pool(Arc::clone(&self.pools[l]));
-        ctx
+        ExecCtx::with_pool(self.machine.threads_per_locale, 1, Arc::clone(&self.pools[l]))
     }
 
     /// Locale `l`'s workspace pool.
@@ -948,7 +941,7 @@ mod tests {
     #[test]
     fn locale_ctx_uses_machine_threads() {
         let ctx = DistCtx::new(MachineConfig::edison_cluster(2, 24));
-        assert_eq!(ctx.locale_ctx().threads(), 24);
+        assert_eq!(ctx.locale_ctx_for(0).threads(), 24);
         let c = Counters::default();
         assert!(c.is_empty());
     }

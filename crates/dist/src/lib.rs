@@ -63,7 +63,7 @@ pub mod vec;
 
 pub use backend::DistBackend;
 pub use comm::Comm;
-pub use dcsc::{BlockFormat, ColSlice, DcscBlock};
+pub use dcsc::{BlockFormat, DcscBlock, StageSlice};
 pub use exec::{DistCtx, LocaleExecutor, Outbox};
 pub use grid::{BlockDist, ProcGrid};
 pub use mat::DistCsrMatrix;
