@@ -126,13 +126,21 @@ fn traces_carry_the_promised_spans() {
 /// The SpGEMM golden: multi-stage DCSC SUMMA on the rectangular 2x3
 /// grid — the shape the square-grid guard used to reject outright.
 fn traced_mxm_run() -> gblas_core::trace::Trace {
-    let grid = ProcGrid::new(2, 3);
     let a = gen::erdos_renyi(60, 4, 7);
     let b = gen::erdos_renyi(60, 3, 8);
-    let da = DistCsrMatrix::from_global(&a, grid);
-    let db = DistCsrMatrix::from_global(&b, grid);
+    traced_mxm_on(&a, &b, LocaleExecutor::Serial)
+}
+
+fn traced_mxm_on(
+    a: &gblas_core::container::CsrMatrix<f64>,
+    b: &gblas_core::container::CsrMatrix<f64>,
+    executor: LocaleExecutor,
+) -> gblas_core::trace::Trace {
+    let grid = ProcGrid::new(2, 3);
+    let da = DistCsrMatrix::from_global(a, grid);
+    let db = DistCsrMatrix::from_global(b, grid);
     let mut dctx = DistCtx::new(MachineConfig::edison_cluster(grid.locales(), 24));
-    dctx.set_executor(LocaleExecutor::Serial);
+    dctx.set_executor(executor);
     dctx.enable_tracing();
     let ring = semirings::plus_times_f64();
     mxm_dist(&da, &db, &ring, &dctx).expect("mxm");
@@ -192,6 +200,34 @@ fn mxm_trace_carries_stage_and_select_attrs() {
         if let Some(c) = s.comm.as_ref().filter(|c| !c.is_empty()) {
             assert_eq!(c.fine_msgs, 0, "{}: SUMMA sent fine messages", s.name);
             assert_eq!(c.fine_dependent_msgs, 0, "{}: SUMMA sent dependent messages", s.name);
+        }
+    }
+}
+
+/// Every SUMMA buffer comes from the pool of the locale that uses it, so
+/// the op span's workspace attrs are the same under both executors — on
+/// CSR blocks and on hypersparse (DCSC) blocks, whose stage slices are
+/// regrouped through pooled scratch.
+#[test]
+fn mxm_workspace_attrs_match_across_executors() {
+    let ws_attrs = |trace: &gblas_core::trace::Trace| {
+        let op = trace
+            .spans
+            .iter()
+            .find(|s| s.kind == SpanKind::Op && s.name == "mxm_dist")
+            .expect("mxm op span present");
+        op.attrs.iter().filter(|(k, _)| k.starts_with("ws_")).cloned().collect::<Vec<_>>()
+    };
+    let inputs = [
+        (gen::erdos_renyi(60, 4, 7), gen::erdos_renyi(60, 3, 8)),
+        (gen::rmat(12, 1, 11), gen::rmat(12, 1, 12)),
+    ];
+    for (a, b) in &inputs {
+        let serial = ws_attrs(&traced_mxm_on(a, b, LocaleExecutor::Serial));
+        assert_eq!(serial.len(), 4, "ws attrs present");
+        for _ in 0..8 {
+            let threaded = ws_attrs(&traced_mxm_on(a, b, LocaleExecutor::Threaded));
+            assert_eq!(threaded, serial, "pool accounting depends on the executor");
         }
     }
 }
